@@ -253,9 +253,9 @@ COMPLEX = _ComplexParam()
 def _contour_options(fn):
     fn = click.option("--center", type=COMPLEX, default="0,0", show_default=True,
                       help="Contour center as re or re,im.")(fn)
-    fn = click.option("--radius", type=float, default=1.0, show_default=True,
-                      help="Contour radius.")(fn)
-    fn = click.option("--nodes", type=int, default=64, show_default=True,
+    fn = click.option("--radius", type=click.FloatRange(min=0, min_open=True), default=1.0,
+                      show_default=True, help="Contour radius.")(fn)
+    fn = click.option("--nodes", type=click.IntRange(min=4), default=64, show_default=True,
                       help="Quadrature node count N.")(fn)
     return fn
 
@@ -314,7 +314,8 @@ def count(problem, center, radius, nodes, out, fmt):
 @cli.command()
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_contour_options
-@click.option("--count", "nmoments", type=int, default=8, show_default=True, help="Moments to compute.")
+@click.option("--count", "nmoments", type=click.IntRange(min=1), default=8, show_default=True,
+              help="Moments to compute.")
 @click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
@@ -342,7 +343,8 @@ def _pair_output(P, pair, fmt, out):
 @cli.command()
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_contour_options
-@click.option("--m", "size", type=int, default=None, help="Pair size (default: eigenvalue count).")
+@click.option("--m", "size", type=click.IntRange(min=1), default=None,
+              help="Pair size (default: eigenvalue count).")
 @click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
@@ -357,8 +359,9 @@ def pair(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
 @cli.command("block-pair")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_contour_options
-@click.option("--m", "size", type=int, default=None, help="Pair size (default: eigenvalue count).")
-@click.option("--xi", type=int, default=2, show_default=True, help="Probe block width.")
+@click.option("--m", "size", type=click.IntRange(min=1), default=None,
+              help="Pair size (default: eigenvalue count).")
+@click.option("--xi", type=click.IntRange(min=1), default=2, show_default=True, help="Probe block width.")
 @click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
@@ -373,7 +376,7 @@ def block_pair(problem, center, radius, nodes, size, xi, probe_file, seed, out, 
 @cli.command()
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_contour_options
-@click.option("--m", "size", type=int, default=None)
+@click.option("--m", "size", type=click.IntRange(min=1), default=None)
 @click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--perturb", type=float, default=0.0, show_default=True,
@@ -416,7 +419,7 @@ def _unit_noise(rng, shape):
 @cli.command()
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_contour_options
-@click.option("--m", "size", type=int, default=None)
+@click.option("--m", "size", type=click.IntRange(min=1), default=None)
 @click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
@@ -432,7 +435,7 @@ def cond(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
 @cli.command()
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_contour_options
-@click.option("--m", "size", type=int, default=None)
+@click.option("--m", "size", type=click.IntRange(min=1), default=None)
 @click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options

@@ -100,11 +100,17 @@ def pair_jacobian(P, X, S):
     B_X = np.zeros((n * k, n * k), dtype=complex)
     for j in range(ell + 1):
         B_X += np.kron(pows[j].T, P.coeffs[j])
+    return B_X, _ds_block(P, X, pows)
+
+
+def _ds_block(P, X, pows):
+    """B_S = sum_j sum_{i<j} (S^{j-i-1})^T kron (A_j X S^i), given pows = S^0..S^ell."""
+    n, k = X.shape
     B_S = np.zeros((n * k, k * k), dtype=complex)
-    for j in range(1, ell + 1):
+    for j in range(1, P.degree + 1):
         for i in range(j):
             B_S += np.kron(pows[j - i - 1].T, P.coeffs[j] @ X @ pows[i])
-    return B_X, B_S
+    return B_S
 
 
 def perturbation_matrix(P, X, S, w=None):
@@ -207,14 +213,7 @@ def solvent_jacobian(P, S):
     specialization of the pair Jacobian with the DX block removed.
     """
     S = np.asarray(S, dtype=complex)
-    n = S.shape[0]
-    ell = P.degree
-    pows = _powers(S, ell)
-    B = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(1, ell + 1):
-        for i in range(j):
-            B += np.kron(pows[j - i - 1].T, P.coeffs[j] @ pows[i])
-    return B
+    return _ds_block(P, np.eye(S.shape[0], dtype=complex), _powers(S, P.degree))
 
 
 def solvent_perturbation_matrix(P, S, w=None):

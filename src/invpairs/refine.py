@@ -7,15 +7,19 @@ Each iteration solves the correction equation
 in vectorized form through the Kronecker blocks [B_X B_S] (minimum-norm
 least squares: the equation has nk rows and nk + k^2 unknowns and carries no
 normalization of its own), then picks the step length t in [0, 2] minimizing
+the squared residual along the step,
 
-    p(t) = (1-t)^2 a + t^4 th + t^6 ph + t^2 (1-t) b + t^3 (1-t) g + t^5 e,
+    p(t) = ||P(X + t dX, S + t dS)||_F^2.
 
-where the coefficients come from the residual P(X, S) and two contour
-integrals A, B over a circle enclosing the spectrum of S.  The expansion is
-exact for polynomials of degree <= 2; for higher degree it is treated as a
-model polynomial and the step is accepted only if the true residual
-decreases, falling back to t = 1 and then t = 1/2.  Plain Newton is the
-t = 1 special case.
+P(X + t dX, S + t dS) = sum_d t^d C_d is a matrix polynomial of degree
+ell + 1 in t, with C_0 = P(X, S) and C_1 = DP_(X,S)(dX, dS).  Its
+coefficients come from the running products (X + t dX)(S + t dS)^j, so
+p(t) = sum_{d,e} t^(d+e) Re<C_d, C_e> holds exactly for every degree.  The
+paper's six-term form of p, built from two contour integrals and exact for
+degree <= 2, is the reference reached by passing a contour to
+line_search_poly.  A solvent S is refined as the pair (I, S) with DX = 0 by
+the same loop, with the square solvent Jacobian in the correction.  Plain
+Newton is the t = 1 special case.
 """
 
 import time
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Polynomial, polynomial
 from scipy.linalg import lu_factor, lu_solve
 
 from .conditioning import pair_jacobian, solvent_jacobian
@@ -67,43 +71,37 @@ class RefinementReport:
             raise ValueError("step_lengths must have one entry per iteration")
 
 
-@dataclass(frozen=True)
 class StepPolynomial:
-    """Coefficients of the line-search polynomial p(t).
+    """The line-search polynomial p(t), held as monomial coefficients.
 
-    p(t) = (1-t)^2 alpha + t^4 theta + t^6 phi
-         + t^2 (1-t) beta + t^3 (1-t) gamma + t^5 eta
+    StepPolynomial(coefficients) takes c_0..c_D, lowest order first, of any
+    degree.  The paper's six-term form
 
-    For the solvent case the expansion is quartic: gamma, eta and phi stay 0.
+        p(t) = (1-t)^2 alpha + t^4 theta + t^6 phi
+             + t^2 (1-t) beta + t^3 (1-t) gamma + t^5 eta
+
+    is built by keyword, StepPolynomial(alpha=..., beta=..., theta=...), and
+    keeps its six values in `terms` (None for the coefficient form).
     """
 
-    alpha: float
-    beta: float
-    theta: float
-    gamma: float = 0.0
-    eta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        for name in ("alpha", "theta", "phi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} is a squared norm and must be nonnegative")
+    def __init__(self, coefficients=None, *, alpha=0.0, beta=0.0, theta=0.0,
+                 gamma=0.0, eta=0.0, phi=0.0):
+        self.terms = None
+        if coefficients is None:
+            self.terms = dict(alpha=alpha, beta=beta, theta=theta, gamma=gamma, eta=eta, phi=phi)
+            for name in ("alpha", "theta", "phi"):
+                if self.terms[name] < 0:
+                    raise ValueError(f"{name} is a squared norm and must be nonnegative")
+            coefficients = (alpha, -2 * alpha, alpha + beta, gamma - beta, theta - gamma, eta, phi)
+        self._coeffs = np.array(coefficients, dtype=float)
+        self._coeffs.setflags(write=False)
 
     def coefficients(self):
-        """Monomial coefficients c_0..c_6 of p, lowest order first."""
-        a, b, g, th, e, ph = self.alpha, self.beta, self.gamma, self.theta, self.eta, self.phi
-        return np.array([a, -2 * a, a + b, g - b, th - g, e, ph])
+        """Monomial coefficients c_0..c_D of p, lowest order first."""
+        return self._coeffs
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return (
-            (1 - t) ** 2 * self.alpha
-            + t ** 4 * self.theta
-            + t ** 6 * self.phi
-            + t ** 2 * (1 - t) * self.beta
-            + t ** 3 * (1 - t) * self.gamma
-            + t ** 5 * self.eta
-        )
+        return polynomial.polyval(np.asarray(t, dtype=float), self._coeffs)
 
 
 class NewtonCorrection(NamedTuple):
@@ -113,28 +111,32 @@ class NewtonCorrection(NamedTuple):
     jacobian_rank: int
 
 
+def _step_expansion(P, X, S, dX, dS):
+    """Coefficients C_0..C_{ell+1} of P(X + t dX, S + t dS) = sum_d t^d C_d.
+
+    Y_j(t) = (X + t dX)(S + t dS)^j is carried as its stack of coefficients
+    and advanced by Y_{j+1} = Y_j S + t Y_j dS; then C = sum_j A_j Y_j.
+    Returns an (ell + 2, n, k) array.
+    """
+    X, S, dX, dS = (np.asarray(a, dtype=complex) for a in (X, S, dX, dS))
+    Y = np.zeros((P.degree + 2,) + X.shape, dtype=complex)
+    Y[0], Y[1] = X, dX
+    C = P.coeffs[0] @ Y
+    for A in P.coeffs[1:]:
+        shifted = Y[:-1] @ dS
+        Y = Y @ S
+        Y[1:] += shifted
+        C += A @ Y
+    return C
+
+
 def frechet_apply(P, X, S, dX, dS):
     """Directional derivative of P at (X, S) in direction (dX, dS).
 
-    Returns sum_j A_j dX S^j + sum_j A_j X (sum_i S^i dS S^{j-i-1}).
+    This is the t^1 coefficient of P(X + t dX, S + t dS), i.e.
+    sum_j A_j dX S^j + sum_j A_j X (sum_i S^i dS S^{j-i-1}).
     """
-    X = np.asarray(X, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    dX = np.asarray(dX, dtype=complex)
-    dS = np.asarray(dS, dtype=complex)
-    ell = P.degree
-    k = S.shape[0]
-    pows = [np.eye(k, dtype=complex)]
-    for _ in range(ell):
-        pows.append(pows[-1] @ S)
-    out = P.coeffs[0] @ dX
-    for j in range(1, ell + 1):
-        out = out + P.coeffs[j] @ dX @ pows[j]
-        dpow = np.zeros_like(pows[j])
-        for i in range(j):
-            dpow += pows[i] @ dS @ pows[j - i - 1]
-        out = out + P.coeffs[j] @ X @ dpow
-    return out
+    return _step_expansion(P, X, S, dX, dS)[1]
 
 
 def newton_correction(P, X, S):
@@ -191,18 +193,27 @@ def _resolvent_factors(S, contour):
 
 
 def line_search_poly(P, X, S, dX, dS, contour=None):
-    """Step polynomial coefficients from the two contour integrals.
+    """Step polynomial p(t) = ||P(X + t dX, S + t dS)||_F^2.
 
-    A = (1/2 pi i) oint P(z) [dX + X R dS] R dS R dz and
+    Without a contour, p is exact at every degree: its coefficients are the
+    anti-diagonal sums c_m = sum_{d+e=m} Re<C_d, C_e> of the Gram matrix of
+    the expansion coefficients C_0..C_{ell+1}.
+
+    With a contour, the paper's six-term form is built from the residual and
+    A = (1/2 pi i) oint P(z) [dX + X R dS] R dS R dz,
     B = (1/2 pi i) oint P(z) dX R dS R dS R dz with R = (zI - S)^{-1};
-    quadrature nodes share one LU factorization of (zI - S) per node.
+    quadrature nodes share one LU factorization of (zI - S) per node.  It
+    is exact for degree <= 2 and serves as the reference there.
     """
-    X = np.asarray(X, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    dX = np.asarray(dX, dtype=complex)
-    dS = np.asarray(dS, dtype=complex)
     if contour is None:
-        contour = default_line_search_contour(S)
+        C = _step_expansion(P, X, S, dX, dS)
+        F = C.reshape(len(C), -1)
+        gram = (F.conj() @ F.T).real
+        coeffs = np.zeros(2 * len(C) - 1)
+        for d, row in enumerate(gram):
+            coeffs[d:d + len(C)] += row
+        return StepPolynomial(coeffs)
+    X, S, dX, dS = (np.asarray(a, dtype=complex) for a in (X, S, dX, dS))
     z, w, lus = _resolvent_factors(S, contour)
     n, k = X.shape
     A = np.zeros((n, k), dtype=complex)
@@ -224,12 +235,18 @@ def line_search_poly(P, X, S, dX, dS, contour=None):
     )
 
 
+def solvent_step_poly(P, S, dS, contour=None):
+    """Step polynomial of the solvent iteration: the pair (I, S) with dX = 0."""
+    S = np.asarray(S, dtype=complex)
+    return line_search_poly(P, np.eye(P.n, dtype=complex), S, np.zeros_like(S), dS, contour)
+
+
 def minimize_step(poly):
     """Minimizer of p over the real stationary points in [0, 2], plus {1, 2}.
 
-    The roots of p'(t) (degree <= 5) come from the companion-matrix
-    eigenvalues of the derivative polynomial; ties break toward t = 1, so a
-    flat polynomial (already converged) yields the plain Newton step.
+    The roots of p'(t) come from the companion-matrix eigenvalues of the
+    derivative polynomial; ties break toward t = 1, so a flat polynomial
+    (already converged) yields the plain Newton step.
     """
     coeffs = poly.coefficients()
     scale = float(np.abs(coeffs).max())
@@ -247,131 +264,73 @@ def minimize_step(poly):
     return min(viable, key=lambda t: abs(t - 1.0))
 
 
-def _pair_relative_residual(P, X, S):
-    return float(np.linalg.norm(eval_pair(P, (X, S)), "fro") / np.linalg.norm(X, "fro"))
+def _newton(P, X, S, correction, scale, tol, maxit, line_search):
+    """Newton loop shared by pairs and solvents.
 
-
-def _choose_step(P, X, S, dX, dS, contour, exact_model, evaluate):
-    """Line-search step with the degree >= 3 safeguard.
-
-    `evaluate(t)` returns the absolute residual norm after a step t.  For an
-    exact model (degree <= 2) the polynomial minimizer is taken as is;
-    otherwise it must not increase the true residual, with fallbacks t = 1
-    and t = 1/2.
+    correction(X, S) returns the step direction (dX, dS); the residual
+    ||P(X, S)||_F is reported relative to ||scale(X, S)||_F.
     """
-    poly = line_search_poly(P, X, S, dX, dS, contour)
-    t = minimize_step(poly)
-    if exact_model:
-        return t
-    current = evaluate(0.0)
-    for cand in (t, 1.0, 0.5):
-        if evaluate(cand) <= current:
-            return cand
-    return 0.5
+    start = time.perf_counter()
+
+    def relative_residual(X, S):
+        return float(np.linalg.norm(eval_pair(P, (X, S)), "fro")
+                     / np.linalg.norm(scale(X, S), "fro"))
+
+    history = [relative_residual(X, S)]
+    steps = []
+    while len(steps) < maxit and history[-1] >= tol:
+        dX, dS = correction(X, S)
+        t = minimize_step(line_search_poly(P, X, S, dX, dS)) if line_search else 1.0
+        X = X + t * dX
+        S = S + t * dS
+        steps.append(float(t))
+        history.append(relative_residual(X, S))
+    report = RefinementReport(
+        iterations=len(steps),
+        residual_history=tuple(history),
+        step_lengths=tuple(steps),
+        converged=history[-1] < tol,
+        wall_time=time.perf_counter() - start,
+    )
+    return X, S, report
 
 
-def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True, contour=None):
+def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     """Newton iteration on P(X, S) = 0 with optional exact line search.
 
     Stops when ||P(X_k, S_k)||_F / ||X_k||_F < tol; hitting maxit leaves
     converged False in the report.  With line_search=False every step length
     is exactly 1 (classical Newton).
     """
-    X = np.array(X0, dtype=complex)
-    S = np.array(S0, dtype=complex)
-    start = time.perf_counter()
-    history = [_pair_relative_residual(P, X, S)]
-    steps = []
-    while len(steps) < maxit and history[-1] >= tol:
-        corr = newton_correction(P, X, S)
-        if line_search:
-            def evaluate(t):
-                return float(np.linalg.norm(eval_pair(P, (X + t * corr.dX, S + t * corr.dS)), "fro"))
-
-            t = _choose_step(P, X, S, corr.dX, corr.dS, contour, P.degree <= 2, evaluate)
-        else:
-            t = 1.0
-        X = X + t * corr.dX
-        S = S + t * corr.dS
-        steps.append(float(t))
-        history.append(_pair_relative_residual(P, X, S))
-    report = RefinementReport(
-        iterations=len(steps),
-        residual_history=tuple(history),
-        step_lengths=tuple(steps),
-        converged=history[-1] < tol,
-        wall_time=time.perf_counter() - start,
+    X, S, report = _newton(
+        P, np.array(X0, dtype=complex), np.array(S0, dtype=complex),
+        lambda X, S: newton_correction(P, X, S)[:2], lambda X, S: X,
+        tol, maxit, line_search,
     )
     return InvariantPair(X, S), report
 
 
-def solvent_step_poly(P, S, dS, contour=None):
-    """Quartic line-search polynomial for the solvent iteration.
+def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
+    """Newton iteration on P(S) = 0, the pair iteration at X = I, dX = 0.
 
-    alpha = ||P(S)||_F^2, theta = ||A||_F^2 and beta = 2 Re tr(P(S)^* A) with
-    A = (1/2 pi i) oint P(z) R dS R dS R dz, R = (zI - S)^{-1}.
+    The correction solves the square solvent equation, falling back to a
+    pseudoinverse (with a warning) where its Jacobian is singular.  Stops
+    when ||P(S_k)||_F / ||S_k||_F < tol.
     """
-    S = np.asarray(S, dtype=complex)
-    dS = np.asarray(dS, dtype=complex)
-    if contour is None:
-        contour = default_line_search_contour(S)
-    z, w, lus = _resolvent_factors(S, contour)
-    A = np.zeros_like(S)
-    for j in range(contour.nodes):
-        Pz = eval_scalar(P, z[j])
-        RdS = lu_solve(lus[j], dS)
-        RdSR = lu_solve(lus[j], RdS.T, trans=1).T
-        A += w[j] * (Pz @ RdS @ RdSR)
-    res = eval_matrix(P, S)
-    return StepPolynomial(
-        alpha=float(np.linalg.norm(res, "fro") ** 2),
-        beta=float(2 * np.real(np.vdot(res, A))),
-        theta=float(np.linalg.norm(A, "fro") ** 2),
-    )
+    S0 = np.array(S0, dtype=complex)
+    dX = np.zeros_like(S0)
 
-
-def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True, contour=None):
-    """Newton iteration on P(S) = 0 with the quartic line search."""
-    S = np.array(S0, dtype=complex)
-    n = P.n
-    start = time.perf_counter()
-
-    def rel(Sc):
-        return float(np.linalg.norm(eval_matrix(P, Sc), "fro") / np.linalg.norm(Sc, "fro"))
-
-    history = [rel(S)]
-    steps = []
-    while len(steps) < maxit and history[-1] >= tol:
+    def correction(X, S):
         B = solvent_jacobian(P, S)
         rhs = -eval_matrix(P, S).ravel(order="F")
         try:
             sol = np.linalg.solve(B, rhs)
         except np.linalg.LinAlgError:
-            warnings.warn("solvent Jacobian singular at iterate; using pseudoinverse", stacklevel=2)
+            warnings.warn("solvent Jacobian singular at iterate; using pseudoinverse", stacklevel=4)
             sol, *_ = np.linalg.lstsq(B, rhs, rcond=None)
-        dS = sol.reshape((n, n), order="F")
-        if line_search:
-            poly = solvent_step_poly(P, S, dS, contour)
-            t = minimize_step(poly)
-            if P.degree > 2:
-                current = float(np.linalg.norm(eval_matrix(P, S), "fro"))
-                for cand in (t, 1.0, 0.5):
-                    if float(np.linalg.norm(eval_matrix(P, S + cand * dS), "fro")) <= current:
-                        t = cand
-                        break
-                else:
-                    t = 0.5
-        else:
-            t = 1.0
-        S = S + t * dS
-        steps.append(float(t))
-        history.append(rel(S))
-    report = RefinementReport(
-        iterations=len(steps),
-        residual_history=tuple(history),
-        step_lengths=tuple(steps),
-        converged=history[-1] < tol,
-        wall_time=time.perf_counter() - start,
-    )
+        return dX, sol.reshape(S.shape, order="F")
+
+    _, S, report = _newton(P, np.eye(P.n, dtype=complex), S0, correction, lambda X, S: S,
+                           tol, maxit, line_search)
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro"))
     return Solvent(S, residual), report

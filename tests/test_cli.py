@@ -256,6 +256,18 @@ class TestCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--radius", "-1"],
+        ["count", "--nodes", "2"],
+        ["pair", "--m", "0"],
+        ["moments", "--count", "0"],
+        ["block-pair", "--xi", "0"],
+    ])
+    def test_out_of_range_argument_is_usage_error(self, argv, capsys):
+        command, *flags = argv
+        assert run_command([command, data_file("ss_2x2.json"), *flags]) == 1
+        assert "not in the range" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_command(["count", data_file("ss_2x2.json"), "--bogus"]) == 1
         assert "error" in capsys.readouterr().err

@@ -98,8 +98,7 @@ class TestLineSearchPoly:
     def test_zero_directions_give_zero_coefficients(self, ss_2x2):
         poly = line_search_poly(ss_2x2, GOLDEN_X_SS, GOLDEN_S_SS,
                                 np.zeros((2, 3)), np.zeros((3, 3)))
-        for name in ("alpha", "beta", "gamma", "theta", "eta", "phi"):
-            assert abs(getattr(poly, name)) <= 1e-20
+        assert np.abs(poly.coefficients()).max() <= 1e-20
 
     def test_exact_for_degree_two(self, quad_2x2):
         rng = np.random.default_rng(13)
@@ -114,14 +113,59 @@ class TestLineSearchPoly:
             ])
             assert np.abs(poly(ts) - direct).max() <= 1e-10 * max(1.0, direct.max())
 
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_exact_beyond_degree_two(self, ell):
+        # the expansion has no degree limit: p(t) is the true squared residual
+        rng = np.random.default_rng(40 + ell)
+        for _ in range(5):
+            n = int(rng.integers(2, 5))
+            k = int(rng.integers(1, 4))
+            P = random_regular_polynomial(rng, n, ell)
+            X, S = _noise(rng, (n, k)), _noise(rng, (k, k))
+            dX, dS = _noise(rng, (n, k)), _noise(rng, (k, k))
+            poly = line_search_poly(P, X, S, dX, dS)
+            assert len(poly.coefficients()) == 2 * ell + 3
+            ts = np.linspace(0.0, 2.0, 9)
+            direct = np.array([
+                np.linalg.norm(eval_pair(P, (X + t * dX, S + t * dS)), "fro") ** 2 for t in ts
+            ])
+            assert np.abs(poly(ts) - direct).max() <= 1e-10 * direct.max()
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_matches_contour_oracle_for_pairs(self, ell):
+        rng = np.random.default_rng(50 + ell)
+        for _ in range(5):
+            P = random_regular_polynomial(rng, 3, ell)
+            X, S = _noise(rng, (3, 2)), _noise(rng, (2, 2))
+            corr = newton_correction(P, X, S)
+            poly = line_search_poly(P, X, S, corr.dX, corr.dS)
+            oracle = line_search_poly(P, X, S, corr.dX, corr.dS, default_line_search_contour(S))
+            want = oracle.coefficients()[: 2 * ell + 3]
+            assert np.abs(oracle.coefficients()[2 * ell + 3:]).max(initial=0.0) <= 1e-10 * np.abs(want).max()
+            assert np.abs(poly.coefficients() - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_matches_contour_oracle_for_solvents(self, quad_2x2):
+        rng = np.random.default_rng(55)
+        for _ in range(5):
+            S = _noise(rng, (2, 2))
+            B = solvent_jacobian(quad_2x2, S)
+            dS = np.linalg.solve(B, -eval_matrix(quad_2x2, S).ravel(order="F")).reshape((2, 2), order="F")
+            poly = solvent_step_poly(quad_2x2, S, dS)
+            oracle = solvent_step_poly(quad_2x2, S, dS, default_line_search_contour(S))
+            want = oracle.coefficients()
+            assert np.abs(poly.coefficients() - want).max() <= 1e-10 * np.abs(want).max()
+
     def test_value_at_one_is_higher_order_norm(self, quad_2x2):
-        # at t = 1 the (1-t) terms vanish: p(1) = ||A + B||_F^2 >= 0, and for
-        # degree two it equals the true squared residual after a full step
+        # at t = 1 the (1-t) terms of the six-term form vanish: p(1) = ||A + B||_F^2
+        # >= 0, and for degree two it equals the true squared residual after a
+        # full step
         rng = np.random.default_rng(14)
         X, S = _noise(rng, (2, 2)), _noise(rng, (2, 2))
         corr = newton_correction(quad_2x2, X, S)
+        oracle = line_search_poly(quad_2x2, X, S, corr.dX, corr.dS, default_line_search_contour(S))
+        terms = oracle.terms
+        assert oracle(1.0) == pytest.approx(terms["theta"] + terms["phi"] + terms["eta"])
         poly = line_search_poly(quad_2x2, X, S, corr.dX, corr.dS)
-        assert poly(1.0) == pytest.approx(poly.theta + poly.phi + poly.eta)
         direct = np.linalg.norm(eval_pair(quad_2x2, (X + corr.dX, S + corr.dS)), "fro") ** 2
         assert poly(1.0) == pytest.approx(direct, rel=1e-8, abs=1e-12)
 
@@ -274,4 +318,5 @@ class TestRefineSolvent:
         for t in (0.0, 1.0, 2.0):
             direct = np.linalg.norm(eval_matrix(quad_2x2, S + t * dS), "fro") ** 2
             assert abs(poly(t) - direct) <= 1e-10 * max(1.0, direct)
-        assert poly.gamma == 0.0 and poly.eta == 0.0 and poly.phi == 0.0
+        # quartic: the coefficients above t^4 vanish
+        assert np.all(poly.coefficients()[5:] == 0.0)
