@@ -171,6 +171,8 @@ def _load_probes(path, n):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(f"{path}: top level must be an object")
     out = {}
     for key in ("u", "v"):
         if key in doc:
@@ -181,12 +183,11 @@ def _load_probes(path, n):
     for key in ("U", "V"):
         if key in doc:
             rows = doc[key]
-            if not isinstance(rows, list) or len(rows) != n:
-                raise ProblemFormatError(f"{path}: '{key}' must hold {n} rows")
-            mat = []
-            for r, row in enumerate(rows):
-                mat.append([_pair_to_complex(e, f"{path}: {key}[{r}][{c}]") for c, e in enumerate(row)])
-            out[key] = np.array(mat)
+            if not (isinstance(rows, list) and len(rows) == n and all(
+                    isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows)):
+                raise ProblemFormatError(f"{path}: '{key}' must hold {n} rows of equal width xi >= 1")
+            out[key] = np.array([[_pair_to_complex(e, f"{path}: {key}[{r}][{c}]") for c, e in enumerate(row)]
+                                 for r, row in enumerate(rows)])
     return out
 
 
@@ -260,6 +261,21 @@ def _contour_options(fn):
     return fn
 
 
+def _extraction_options(fn):
+    """Problem file, contour, probe file and seed: the inputs of an extraction."""
+    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
+    fn = click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)(fn)
+    fn = _contour_options(fn)
+    return click.argument("problem", type=click.Path(exists=True, dir_okay=False))(fn)
+
+
+_size_option = click.option("--m", "size", type=click.IntRange(min=1), default=None,
+                            help="Pair size (default: eigenvalue count).")
+_tol_option = click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-12,
+                           show_default=True)
+_maxit_option = click.option("--maxit", type=click.IntRange(min=0), default=500, show_default=True)
+
+
 def _output_options(fn):
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
                       help="Write output to a file instead of stdout.")(fn)
@@ -275,6 +291,12 @@ def _scalar_probes(P, probe_file, seed):
             return probes["u"], probes["v"]
         raise ProblemFormatError(f"{probe_file}: scalar probes need fields 'u' and 'v'")
     return default_probe_vectors(P.n, seed)
+
+
+def _extract(P, center, radius, nodes, probe_file, seed, m):
+    """Scalar invariant pair of P inside the contour, from the command's options."""
+    u, v = _scalar_probes(P, probe_file, seed)
+    return extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=m, seed=seed)
 
 
 def _block_probes(P, xi, probe_file, seed):
@@ -312,12 +334,9 @@ def count(problem, center, radius, nodes, out, fmt):
 
 
 @cli.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
+@_extraction_options
 @click.option("--count", "nmoments", type=click.IntRange(min=1), default=8, show_default=True,
               help="Moments to compute.")
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
 def moments(problem, center, radius, nodes, nmoments, probe_file, seed, out, fmt):
     """Scalar moments mu_0..mu_{K-1} of u^H P(z)^{-1} v."""
@@ -341,29 +360,19 @@ def _pair_output(P, pair, fmt, out):
 
 
 @cli.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
-@click.option("--m", "size", type=click.IntRange(min=1), default=None,
-              help="Pair size (default: eigenvalue count).")
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_extraction_options
+@_size_option
 @_output_options
 def pair(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
     """Extract an invariant pair from scalar moments."""
     P = parse_problem(problem)
-    u, v = _scalar_probes(P, probe_file, seed)
-    result = extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=size, seed=seed)
-    _pair_output(P, result, fmt, out)
+    _pair_output(P, _extract(P, center, radius, nodes, probe_file, seed, size), fmt, out)
 
 
 @cli.command("block-pair")
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
-@click.option("--m", "size", type=click.IntRange(min=1), default=None,
-              help="Pair size (default: eigenvalue count).")
+@_extraction_options
+@_size_option
 @click.option("--xi", type=click.IntRange(min=1), default=2, show_default=True, help="Probe block width.")
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
 def block_pair(problem, center, radius, nodes, size, xi, probe_file, seed, out, fmt):
     """Extract an invariant pair from block moments."""
@@ -374,23 +383,19 @@ def block_pair(problem, center, radius, nodes, size, xi, probe_file, seed, out, 
 
 
 @cli.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
-@click.option("--m", "size", type=click.IntRange(min=1), default=None)
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_extraction_options
+@_size_option
 @click.option("--perturb", type=float, default=0.0, show_default=True,
               help="Seeded relative noise injected before refining.")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--maxit", type=int, default=500, show_default=True)
+@_tol_option
+@_maxit_option
 @click.option("--no-line-search", is_flag=True, default=False, help="Plain Newton steps (t = 1).")
 @_output_options
 def refine(problem, center, radius, nodes, size, probe_file, seed, perturb, tol, maxit,
            no_line_search, out, fmt):
     """Extract a pair, optionally perturb it, and refine it by Newton."""
     P = parse_problem(problem)
-    u, v = _scalar_probes(P, probe_file, seed)
-    start = extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=size, seed=seed)
+    start = _extract(P, center, radius, nodes, probe_file, seed, size)
     X, S = np.array(start.X), np.array(start.S)
     if perturb:
         rng = np.random.default_rng(seed)
@@ -417,33 +422,25 @@ def _unit_noise(rng, shape):
 
 
 @cli.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
-@click.option("--m", "size", type=click.IntRange(min=1), default=None)
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_extraction_options
+@_size_option
 @_output_options
 def cond(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
     """Condition number of the extracted invariant pair."""
     P = parse_problem(problem)
-    u, v = _scalar_probes(P, probe_file, seed)
-    result = extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=size, seed=seed)
+    result = _extract(P, center, radius, nodes, probe_file, seed, size)
     kappa = pair_condition_number(P, result.X, result.S)
     _emit({"kappa": kappa}, [["kappa"], [repr(kappa)]], fmt, out)
 
 
 @cli.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
-@click.option("--m", "size", type=click.IntRange(min=1), default=None)
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_extraction_options
+@_size_option
 @_output_options
 def berr(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
     """Backward error (lower bound, eta, upper bound) of the extracted pair."""
     P = parse_problem(problem)
-    u, v = _scalar_probes(P, probe_file, seed)
-    result = extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=size, seed=seed)
+    result = _extract(P, center, radius, nodes, probe_file, seed, size)
     rep = pair_backward_error(P, result.X, result.S)
     data = {"lower": rep.lower, "eta": rep.eta, "upper": rep.upper}
     rows = [["lower", "eta", "upper"],
@@ -452,18 +449,13 @@ def berr(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
 
 
 @cli.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@_contour_options
-@click.option("--probe-file", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@_extraction_options
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-8, show_default=True)
 @_output_options
 def solvent(problem, center, radius, nodes, probe_file, seed, tol, out, fmt):
     """Solvent from an n-by-n invariant pair enclosed by the contour."""
     P = parse_problem(problem)
-    u, v = _scalar_probes(P, probe_file, seed)
-    result = extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=P.n, seed=seed)
-    sol = solvent_from_pair(P, result)
+    sol = solvent_from_pair(P, _extract(P, center, radius, nodes, probe_file, seed, P.n))
     check = verify_solvent(P, sol.S, tol=tol)
     data = {
         "S": sol.S,
@@ -480,19 +472,22 @@ def solvent(problem, center, radius, nodes, probe_file, seed, tol, out, fmt):
     _emit(data, rows, fmt, out)
 
 
+def _companion_eigenpairs(P):
+    """Companion-linearization eigenpairs (mu, top n entries of the vector), sorted by (re, im)."""
+    vals, vecs = np.linalg.eig(companion_linearization(P))
+    return [(vals[i], vecs[: P.n, i]) for i in np.lexsort((vals.imag, vals.real))]
+
+
 @cli.command("enumerate")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @_output_options
 def enumerate_cmd(problem, out, fmt):
     """All solvents from n-subsets of the companion-linearization eigenpairs."""
     P = parse_problem(problem)
-    comp = companion_linearization(P)
-    vals, vecs = np.linalg.eig(comp)
-    order = np.lexsort((vals.imag, vals.real))
-    eigpairs = [(vals[i], vecs[: P.n, i]) for i in order]
+    eigpairs = _companion_eigenpairs(P)
     solvents, rejected = enumerate_solvents(P, eigpairs)
     data = {
-        "eigenvalues": [vals[i] for i in order],
+        "eigenvalues": [lam for lam, _ in eigpairs],
         "solvents": [{"S": s.S, "residual": s.residual} for s in solvents],
         "rejected_subsets": [list(r) for r in rejected],
     }
@@ -609,8 +604,8 @@ def _run_bench(seed, tol, maxit):
 
 @cli.command()
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--maxit", type=int, default=500, show_default=True)
+@_tol_option
+@_maxit_option
 @click.option("--verify", is_flag=True, default=False,
               help="Check every bundled golden fixture against its expected output.")
 @_output_options
@@ -681,28 +676,24 @@ def _run_single_check(P, fixture, check):
     contour = None
     if "center" in check:
         contour = Contour(complex(*check["center"]), check["radius"], check.get("nodes", 64))
+    if "u" in check:
+        u, v = (np.array([complex(re, im) for re, im in check[key]]) for key in ("u", "v"))
+    if "U" in check:
+        U, V = _expected_matrix(check["U"]), _expected_matrix(check["V"])
+    if kind in ("companion_last_column", "pencil_clusters", "hankel_rank"):
+        hp = build_hankel(scalar_moments(P, contour, u, v, count=2 * check["m"]), check["m"])
     if kind == "moments":
-        moms = scalar_moments(P, contour, np.array([complex(re, im) for re, im in check["u"]]),
-                              np.array([complex(re, im) for re, im in check["v"]]),
-                              count=len(check["expected"]))
+        moms = scalar_moments(P, contour, u, v, count=len(check["expected"]))
         return _check_allclose(moms.mu, [complex(re, im) for re, im in check["expected"]], atol, desc)
     if kind == "count":
         result = count_eigenvalues_inside(P, contour)
         ok = result.count == check["expected"] and result.quality <= atol
         return desc, "ok" if ok else f"FAIL count {result.count} quality {result.quality:.2e}"
     if kind == "companion_last_column":
-        u = np.array([complex(re, im) for re, im in check["u"]])
-        v = np.array([complex(re, im) for re, im in check["v"]])
-        m = check["m"]
-        moms = scalar_moments(P, contour, u, v, count=2 * m)
-        C = companion_from_pencil(build_hankel(moms, m))
+        C = companion_from_pencil(hp)
         return _check_allclose(C[:, -1], [complex(re, im) for re, im in check["expected"]], atol, desc)
     if kind == "pencil_clusters":
-        u = np.array([complex(re, im) for re, im in check["u"]])
-        v = np.array([complex(re, im) for re, im in check["v"]])
-        m = check["m"]
-        moms = scalar_moments(P, contour, u, v, count=2 * m)
-        clusters = pencil_eigenvalues(build_hankel(moms, m))
+        clusters = pencil_eigenvalues(hp)
         expected = [(complex(re, im), mult) for (re, im), mult in check["expected"]]
         if len(clusters) != len(expected):
             return desc, f"FAIL {len(clusters)} clusters, expected {len(expected)}"
@@ -711,8 +702,6 @@ def _run_single_check(P, fixture, check):
                 return desc, f"FAIL cluster ({val:.6g},{mult}) vs ({eval_:.6g},{emult})"
         return desc, "ok"
     if kind == "pair":
-        u = np.array([complex(re, im) for re, im in check["u"]])
-        v = np.array([complex(re, im) for re, im in check["v"]])
         result = extract_invariant_pair(P, contour, u, v, m=check["m"])
         dX, sX = _check_allclose(result.X, _expected_matrix(check["X"]), atol, desc + ":X")
         dS, sS = _check_allclose(result.S, _expected_matrix(check["S"]), atol, desc + ":S")
@@ -723,15 +712,9 @@ def _run_single_check(P, fixture, check):
         res = float(np.linalg.norm(eval_pair(P, result), "fro") / np.linalg.norm(result.X, "fro"))
         return desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"
     if kind == "hankel_rank":
-        u = np.array([complex(re, im) for re, im in check["u"]])
-        v = np.array([complex(re, im) for re, im in check["v"]])
-        m = check["m"]
-        moms = scalar_moments(P, contour, u, v, count=2 * m)
-        rank = numerical_rank(build_hankel(moms, m).H0)
+        rank = numerical_rank(hp.H0)
         return desc, "ok" if rank == check["expected"] else f"FAIL rank {rank}"
     if kind == "block_moments":
-        U = _expected_matrix(check["U"])
-        V = _expected_matrix(check["V"])
         bmoms = block_moments(P, contour, U, V, count=len(check["expected"]))
         for k, exp in enumerate(check["expected"]):
             d, s = _check_allclose(bmoms.moments[k], _expected_matrix(exp), atol, f"{desc}:M{k}")
@@ -739,8 +722,6 @@ def _run_single_check(P, fixture, check):
                 return d, s
         return desc, "ok"
     if kind == "block_pair":
-        U = _expected_matrix(check["U"])
-        V = _expected_matrix(check["V"])
         result = extract_block_invariant_pair(P, contour, U, V, m=check["m"])
         if "Y" in check:
             d, s = _check_allclose(result.X, _expected_matrix(check["Y"]), atol, desc + ":Y")
@@ -764,11 +745,7 @@ def _run_single_check(P, fixture, check):
             return desc, f"FAIL eigenvalue clusters {got}"
         return desc, "ok"
     if kind == "solvent_set":
-        comp = companion_linearization(P)
-        vals, vecs = np.linalg.eig(comp)
-        order = np.lexsort((vals.imag, vals.real))
-        eigpairs = [(vals[i], vecs[: P.n, i]) for i in order]
-        sols, rejected = enumerate_solvents(P, eigpairs)
+        sols, rejected = enumerate_solvents(P, _companion_eigenpairs(P))
         expected = [_expected_matrix(s) for s in check["expected"]]
         if len(sols) != len(expected):
             return desc, f"FAIL {len(sols)} solvents, expected {len(expected)}"

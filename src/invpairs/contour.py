@@ -194,14 +194,28 @@ def _factor_at_nodes(P, contour):
     return z, w, lus
 
 
+def _moment_blocks(P, contour, U, V, count):
+    """Moment blocks M_k = U^H S_k and S_k of P(z)^{-1} V for k < count.
+
+    One LU factorization per node serves every order: the node solves
+    Y_j = P(z_j)^{-1} V are stacked, and S_k = sum_j w_j z_j^k Y_j for all k
+    is one product with the weighted Vandermonde matrix.
+    """
+    z, w, lus = _factor_at_nodes(P, contour)
+    Y = np.stack([lu_solve(lu, V) for lu in lus])
+    W = w[:, None] * np.vander(z, count, increasing=True)
+    S = (W.T @ Y.reshape(len(z), -1)).reshape(count, *V.shape)
+    return U.conj().T @ S, S
+
+
 def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
     """Trapezoid-rule moments mu_0..mu_{count-1} of u^H P(z)^{-1} v.
 
-    One LU factorization of P(z_j) per node is shared across all moment
-    orders; the moment vectors s_k (same quadrature applied to P^{-1} v) are
-    returned alongside.  Probes default to seeded unit-sphere draws.  The
-    node sums accumulate left to right in node order, so results are
-    bit-reproducible for a fixed N.
+    The width-one case of block_moments: the moment vectors s_k (same
+    quadrature applied to P^{-1} v) are returned alongside.  Probes default
+    to seeded unit-sphere draws.  The node sums are a matrix product, so
+    their order is BLAS's rather than node order; the result is still
+    deterministic for a fixed N and fixed probes.
     """
     if u is None or v is None:
         du, dv = default_probe_vectors(P.n, seed)
@@ -213,20 +227,8 @@ def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
         raise ValueError("probe vectors must be nonzero")
     if count < 1:
         raise ValueError("need at least one moment")
-
-    z, w, lus = _factor_at_nodes(P, contour)
-    mu = np.zeros(count, dtype=complex)
-    svecs = np.zeros((P.n, count), dtype=complex)
-    for j in range(contour.nodes):
-        y = lu_solve(lus[j], v)
-        f = u.conj() @ y
-        zk = 1.0 + 0.0j
-        for k in range(count):
-            wk = w[j] * zk
-            mu[k] += wk * f
-            svecs[:, k] += wk * y
-            zk *= z[j]
-    return MomentSequence(u=u, v=v, mu=mu, contour=contour, svecs=svecs)
+    M, S = _moment_blocks(P, contour, u[:, None], v[:, None], count)
+    return MomentSequence(u=u, v=v, mu=M[:, 0, 0], contour=contour, svecs=S[:, :, 0].T)
 
 
 def block_moments(P, contour, U=None, V=None, count=8, seed=0):
@@ -235,27 +237,15 @@ def block_moments(P, contour, U=None, V=None, count=8, seed=0):
         raise ValueError("block probes U and V are required (xi is implied by them)")
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    if U.ndim != 2 or V.ndim != 2 or U.shape != V.shape or U.shape[0] != P.n:
-        raise ValueError(f"probes must both be {P.n}-by-xi matrices")
+    if U.ndim != 2 or V.ndim != 2 or U.shape != V.shape or U.shape[0] != P.n or U.shape[1] < 1:
+        raise ValueError(f"probes must both be {P.n}-by-xi matrices with xi >= 1")
     xi = U.shape[1]
     if numerical_rank(U) < xi or numerical_rank(V) < xi:
         raise ValueError("probe matrices must have linearly independent columns")
     if count < 1:
         raise ValueError("need at least one moment")
-
-    z, w, lus = _factor_at_nodes(P, contour)
-    Ms = [np.zeros((xi, xi), dtype=complex) for _ in range(count)]
-    Ss = [np.zeros((P.n, xi), dtype=complex) for _ in range(count)]
-    for j in range(contour.nodes):
-        Y = lu_solve(lus[j], V)
-        F = U.conj().T @ Y
-        zk = 1.0 + 0.0j
-        for k in range(count):
-            wk = w[j] * zk
-            Ms[k] += wk * F
-            Ss[k] += wk * Y
-            zk *= z[j]
-    return BlockMomentSequence(U=U, V=V, moments=tuple(Ms), contour=contour, sblocks=tuple(Ss))
+    M, S = _moment_blocks(P, contour, U, V, count)
+    return BlockMomentSequence(U=U, V=V, moments=tuple(M), contour=contour, sblocks=tuple(S))
 
 
 def count_eigenvalues_inside(P, contour):

@@ -99,26 +99,25 @@ class HankelPencil:
 
 def build_hankel(moms, m):
     """Assemble the m-by-m pencil from a MomentSequence with >= 2m moments."""
-    if m < 1:
-        raise ValueError("pencil size m must be at least 1")
     if len(moms) < 2 * m:
         raise ValueError(f"need at least {2 * m} moments to build an {m}x{m} pencil, have {len(moms)}")
-    mu = moms.mu
-    H0 = np.array([[mu[i + j] for j in range(m)] for i in range(m)])
-    H1 = np.array([[mu[i + j + 1] for j in range(m)] for i in range(m)])
-    return HankelPencil(H0=H0, H1=H1, block_size=1, source=moms)
+    return _pencil(moms.mu[:, None, None], m, moms)
 
 
 def build_block_hankel(bmoms, mt):
     """Assemble the block pencil with mt block rows from a BlockMomentSequence."""
-    if mt < 1:
-        raise ValueError("block count must be at least 1")
     if len(bmoms) < 2 * mt:
         raise ValueError(f"need at least {2 * mt} block moments, have {len(bmoms)}")
-    xi = bmoms.xi
-    H0 = np.block([[bmoms.moments[i + j] for j in range(mt)] for i in range(mt)])
-    H1 = np.block([[bmoms.moments[i + j + 1] for j in range(mt)] for i in range(mt)])
-    return HankelPencil(H0=H0, H1=H1, block_size=xi, source=bmoms)
+    return _pencil(bmoms.moments, mt, bmoms)
+
+
+def _pencil(moments, mt, source=None):
+    """Block Hankel pencil with mt block rows from xi-by-xi moments (scalar: xi = 1)."""
+    if mt < 1:
+        raise ValueError("pencil size must be at least 1")
+    H0 = np.block([[moments[i + j] for j in range(mt)] for i in range(mt)])
+    H1 = np.block([[moments[i + j + 1] for j in range(mt)] for i in range(mt)])
+    return HankelPencil(H0=H0, H1=H1, block_size=moments[0].shape[0], source=source)
 
 
 def companion_from_pencil(hp):
@@ -139,12 +138,8 @@ def companion_from_pencil(hp):
         )
     xi = hp.block_size
     C = np.zeros((m, m), dtype=complex)
-    if xi == 1:
-        C[1:, :-1] = np.eye(m - 1)
-        C[:, -1] = np.linalg.solve(hp.H0, hp.H1[:, -1])
-    else:
-        C[xi:, :-xi] = np.eye(m - xi)
-        C[:, -xi:] = np.linalg.solve(hp.H0, hp.H1[:, -xi:])
+    C[xi:, :-xi] = np.eye(m - xi)
+    C[:, -xi:] = np.linalg.solve(hp.H0, hp.H1[:, -xi:])
     return C
 
 
@@ -176,57 +171,59 @@ def _resolve_size(P, contour, m):
 def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
     """Invariant pair (X, S) = ([s_0 ... s_{m-1}], C) from scalar moments.
 
-    `m` defaults to the enclosed-eigenvalue count.  When H0 turns out rank
-    deficient at that default (eigenvalues invisible to the scalar method),
-    the pencil is truncated to the numerical rank with a warning; an
-    explicitly requested m is strict and raises HankelRankError instead.
+    The xi = 1 case of extract_block_invariant_pair.  `m` defaults to the
+    enclosed-eigenvalue count.  When H0 turns out rank deficient at that
+    default (eigenvalues invisible to the scalar method), the pencil is
+    truncated to the numerical rank with a warning; an explicitly requested
+    m is strict and raises HankelRankError instead.
     """
     m, defaulted = _resolve_size(P, contour, m)
     moms = scalar_moments(P, contour, u, v, count=2 * m, seed=seed)
-    hp = build_hankel(moms, m)
-    rank = numerical_rank(hp.H0)
-    if rank < m:
+    moments, blocks = moms.mu[:, None, None], moms.svecs.T[:, :, None]
+    try:
+        return _pair_from_moments(moments, blocks, m)
+    except HankelRankError as err:
         if not defaulted:
-            raise HankelRankError(
-                f"only {rank} of the requested {m} eigenvalues are visible to the "
-                f"scalar moment method; truncate to m={rank}",
-                rank,
-            )
+            raise
         warnings.warn(
-            f"{m} eigenvalues enclosed but H0 has rank {rank}; truncating "
+            f"{m} eigenvalues enclosed but H0 has rank {err.rank}; truncating "
             "(multiplicities in several Jordan blocks are invisible to the scalar method)",
             stacklevel=2,
         )
-        m = rank
-        hp = build_hankel(moms, m)
-    C = companion_from_pencil(hp)
-    X = np.array(moms.svecs[:, :m])
-    return InvariantPair(X, C)
+        return _pair_from_moments(moments, blocks, err.rank)
 
 
 def extract_block_invariant_pair(P, contour, U, V, m=None, seed=0):
     """Invariant pair (Y, T) from block moments with n-by-xi probes.
 
-    The block pencil has mt = ceil(m/xi) block rows.  When mt*xi exceeds the
-    enclosed-eigenvalue count m, the leading m-by-m principal part of the
-    pencil is used (the full block pencil is singular by construction); the
-    truncated solve is a full linear solve since truncation breaks the block
-    companion pattern.
+    `m` defaults to the enclosed-eigenvalue count; any rank deficiency of the
+    pencil raises HankelRankError.
     """
     if U is None or V is None:
         raise ValueError("block extraction needs explicit probe matrices U and V")
+    if np.ndim(U) != 2 or np.shape(U)[1] < 1:
+        raise ValueError("block probes must be n-by-xi matrices with xi >= 1")
     m, _ = _resolve_size(P, contour, m)
-    U = np.asarray(U, dtype=complex)
-    xi = U.shape[1]
+    bmoms = block_moments(P, contour, U, V, count=2 * math.ceil(m / np.shape(U)[1]), seed=seed)
+    return _pair_from_moments(bmoms.moments, bmoms.sblocks, m)
+
+
+def _pair_from_moments(moments, blocks, m):
+    """Invariant pair of size m from moments M_k (xi-by-xi) and blocks S_k (n-by-xi).
+
+    The pencil has mt = ceil(m/xi) block rows and the pair is
+    ([S_0 ... S_{mt-1}], companion).  When mt*xi exceeds m, the leading
+    m-by-m principal part of the pencil is used (the full block pencil is
+    singular by construction); the truncated solve is a full linear solve
+    since truncation breaks the block companion pattern.
+    """
+    xi = moments[0].shape[0]
     mt = math.ceil(m / xi)
-    bmoms = block_moments(P, contour, U, V, count=2 * mt, seed=seed)
-    hp = build_block_hankel(bmoms, mt)
-    Yfull = np.hstack(bmoms.sblocks[:mt])
+    hp = _pencil(moments, mt)
+    Y = np.hstack(blocks[:mt])
     if mt * xi == m:
-        T = companion_from_pencil(hp)
-        return InvariantPair(np.array(Yfull), T)
+        return InvariantPair(Y, companion_from_pencil(hp))
     H0 = hp.H0[:m, :m]
-    H1 = hp.H1[:m, :m]
     rank = numerical_rank(H0)
     if rank < m:
         raise HankelRankError(
@@ -234,5 +231,4 @@ def extract_block_invariant_pair(P, contour, U, V, m=None, seed=0):
             "the probes or the block size xi do not expose all enclosed eigenvalues",
             rank,
         )
-    T = np.linalg.solve(H0, H1)
-    return InvariantPair(Yfull[:, :m], T)
+    return InvariantPair(Y[:, :m], np.linalg.solve(H0, hp.H1[:m, :m]))

@@ -2,7 +2,8 @@
 
 It looks each name up in its invpairs module and rebinds the wrapper under
 every module attribute that holds the original, so the names must exist and
-the refine loop must reach the line search through the module attribute.
+the refine loop must reach the line search, and the extractors the contour
+functions, through the module attribute.
 """
 
 import importlib
@@ -10,8 +11,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from invpairs import refine
+from invpairs import hankel, problems, refine
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -45,3 +47,24 @@ def test_refine_loops_call_the_module_line_search(monkeypatch, quad_2x2):
     _, pair_report = refine.refine_pair(quad_2x2, np.eye(2), S0, maxit=30)
     _, solvent_report = refine.refine_solvent(quad_2x2, S0, maxit=30)
     assert len(calls) == pair_report.iterations + solvent_report.iterations > 0
+
+
+def test_extractors_call_the_module_contour_functions(monkeypatch, multi_3x3, golden_contours):
+    calls = []
+    for name in ("count_eigenvalues_inside", "scalar_moments", "block_moments"):
+        original = getattr(hankel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hankel, name, counted)
+    contour = golden_contours["multi_3x3"]
+    probes = problems.GOLDEN_PROBES["multi_3x3"]
+    # the scalar pencil is truncated to rank 3 on the same moments
+    with pytest.warns(UserWarning, match="truncating"):
+        hankel.extract_invariant_pair(multi_3x3, contour, probes["u"], probes["v"])
+    assert calls == ["count_eigenvalues_inside", "scalar_moments"]
+    calls.clear()
+    hankel.extract_block_invariant_pair(multi_3x3, contour, np.array(probes["U"]), np.array(probes["V"]))
+    assert calls == ["count_eigenvalues_inside", "block_moments"]

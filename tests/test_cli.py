@@ -255,18 +255,39 @@ class TestCommands:
             assert any(ch.isalpha() for ch in lines[0]), argv[0]  # header row
 
 
+SS_2X2 = data_file("ss_2x2.json")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
-        ["count", "--radius", "-1"],
-        ["count", "--nodes", "2"],
-        ["pair", "--m", "0"],
-        ["moments", "--count", "0"],
-        ["block-pair", "--xi", "0"],
+        ["count", SS_2X2, "--radius", "-1"],
+        ["count", SS_2X2, "--nodes", "2"],
+        ["pair", SS_2X2, "--m", "0"],
+        ["moments", SS_2X2, "--count", "0"],
+        ["block-pair", SS_2X2, "--xi", "0"],
+        ["refine", SS_2X2, "--tol", "-1"],
+        ["refine", SS_2X2, "--maxit", "-1"],
+        ["solvent", SS_2X2, "--tol", "0"],
+        ["bench", "--tol", "-1"],
+        ["bench", "--maxit", "-1"],
     ])
     def test_out_of_range_argument_is_usage_error(self, argv, capsys):
-        command, *flags = argv
-        assert run_command([command, data_file("ss_2x2.json"), *flags]) == 1
+        assert run_command(argv) == 1
         assert "not in the range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        {"U": [[[1, 0]], 7], "V": [[[1, 0]], [[0, 1]]]},
+        {"U": [[[1, 0], [0, 1]], [[1, 0]]], "V": [[[1, 0]], [[0, 1]]]},
+        {"U": [[], []], "V": [[], []]},
+    ], ids=["top-level-number", "row-not-a-list", "ragged-rows", "zero-width"])
+    def test_malformed_probe_file_is_usage_error(self, doc, tmp_path, capsys):
+        path = tmp_path / "probes.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_command(["block-pair", SS_2X2, "--center", "1,0", "--radius", "0.5",
+                            "--probe-file", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_command(["count", data_file("ss_2x2.json"), "--bogus"]) == 1

@@ -12,6 +12,7 @@ from invpairs import (
     scalar_moments,
 )
 from invpairs.contour import default_probe_vectors
+from invpairs.matpoly import eval_scalar
 from invpairs import problems
 
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     GOLDEN_BLOCK_MOMENTS,
     GOLDEN_MU_4X4,
     RESIDUE_DIAG_SPECTRUM,
+    random_regular_polynomial,
 )
 
 U3 = np.array([[1.0, 0.0], [5.0, -3.0], [2.0, -4.0]])
@@ -148,6 +150,28 @@ class TestBlockMoments:
         smoms = scalar_moments(multi_3x3, c, u, v, count=6)
         recon = np.array([u.conj() @ S[:, 0] for S in bmoms.sblocks])
         assert np.abs(recon - smoms.mu).max() <= 1e-12 * max(1.0, np.abs(smoms.mu).max())
+
+    def test_matches_node_loop_reference(self):
+        # the kernel sums over the nodes in one matrix product; the node-order
+        # loop it replaced is the reference, within the roundoff of the sum
+        rng = np.random.default_rng(5)
+        P = random_regular_polynomial(rng, 6, 2)
+        contour = Contour(0.3, 0.8, nodes=32)
+        U, V = (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)) for _ in range(2))
+        z, w = contour.points()
+        S_ref = np.zeros((10, 6, 2), dtype=complex)
+        size = 0.0
+        for zj, wj in zip(z, w):
+            Y = np.linalg.solve(eval_scalar(P, zj), V)
+            for k in range(10):
+                S_ref[k] += wj * zj ** k * Y
+                size = max(size, abs(wj * zj ** k) * np.abs(Y).max())
+        tol = 4 * contour.nodes * np.finfo(float).eps * size
+        bmoms = block_moments(P, contour, U, V, count=10)
+        assert np.abs(np.array(bmoms.sblocks) - S_ref).max() <= tol
+        assert np.abs(np.array(bmoms.moments) - U.conj().T @ S_ref).max() <= tol * np.abs(U).sum()
+        moms = scalar_moments(P, contour, U[:, 0], V[:, 0], count=10)
+        assert np.abs(moms.svecs - S_ref[:, :, 0].T).max() <= tol
 
     def test_duplicate_columns_rejected(self, multi_3x3, golden_contours):
         U = np.column_stack([U3[:, 0], U3[:, 0]])

@@ -254,8 +254,9 @@ class TestExtractBlockInvariantPair:
         scalar = extract_invariant_pair(ss_2x2, golden_contours["ss_2x2"], u, v, m=3)
         block = extract_block_invariant_pair(ss_2x2, golden_contours["ss_2x2"],
                                              u.reshape(2, 1), v.reshape(2, 1), m=3)
-        assert np.abs(scalar.X - block.X).max() <= 1e-12
-        assert np.abs(scalar.S - block.S).max() <= 1e-12
+        # one moment kernel and one pencil-to-pair routine: the same bits
+        assert np.array_equal(scalar.X, block.X)
+        assert np.array_equal(scalar.S, block.S)
 
     def test_block_hankel_builder(self, multi_3x3, golden_contours):
         bmoms = block_moments(multi_3x3, golden_contours["multi_3x3"], U3, V3, count=6)
@@ -268,6 +269,13 @@ class TestExtractBlockInvariantPair:
     def test_missing_probes(self, multi_3x3, golden_contours):
         with pytest.raises(ValueError, match="probe"):
             extract_block_invariant_pair(multi_3x3, golden_contours["multi_3x3"], None, None, m=5)
+
+    def test_zero_width_probes(self, multi_3x3, golden_contours):
+        empty = np.zeros((3, 0))
+        with pytest.raises(ValueError, match="xi >= 1"):
+            extract_block_invariant_pair(multi_3x3, golden_contours["multi_3x3"], empty, empty, m=5)
+        with pytest.raises(ValueError, match="xi >= 1"):
+            block_moments(multi_3x3, golden_contours["multi_3x3"], empty, empty)
 
 
 def pencil_eigenvalues_of(T):

@@ -271,8 +271,8 @@ class TestRefinePair:
                              converged=False, wall_time=0.0)
 
     def test_degree_three_safeguarded_step(self):
-        # model polynomial is a truncation for degree >= 3; the accepted step
-        # must still never increase the residual
+        # the step polynomial is exact at degree 3 as well; the accepted step
+        # must never increase the residual
         rng = np.random.default_rng(27)
         P = random_regular_polynomial(rng, 3, 3)
         pair = extract_invariant_pair_for(P)
