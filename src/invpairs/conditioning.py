@@ -17,19 +17,30 @@ residual, yields the backward error as a minimum-norm solve, sandwiched by
 the closed-form bounds with ||X S^i||_F and sigma_min(X S^i).  Solvents are
 the X = I, DX = 0 specialization.
 
-The blocks are assembled explicitly as dense matrices: at desk scale
-(nk rows up to a few hundred) fidelity to the formulas beats scalability.
+B_A is never formed.  Up to a column permutation it is W^T kron I_n, where
+W stacks the blocks alpha_i X S^i (alpha_i > 0) into a (#alpha)n-by-k
+matrix, so
+
+    B_A B_A^H = G kron I_n,    G = conj(W^H W) = L L^H,
+
+with a k-by-k Gram matrix G.  One thin SVD W = U diag(s) V^H gives all of
+it: the singular values of B_A are s, each repeated n times; the backward
+error is ||P(X, S) V diag(s)^-1||_F; and ||[B_X B_S]^+ B_A||_2 equals
+||[B_X B_S]^+ (L kron I_n)||_2 for L = conj(V) diag(s), which is k columns
+wide per row of the identity instead of (ell+1)n.  `perturbation_matrix`
+and `solvent_perturbation_matrix` still assemble B_A explicitly, as the
+reference the tests compare against.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matpoly import eval_matrix, eval_pair
-from ._numeric import numerical_rank
+from .matpoly import _as_square_complex, eval_matrix, eval_pair
+from ._numeric import EPS, numerical_rank, rank_tolerance
 
 __all__ = [
     "WeightVector",
@@ -135,23 +146,57 @@ def perturbation_matrix(P, X, S, w=None):
     return np.hstack(blocks)
 
 
+class _Gram(NamedTuple):
+    """Checked (X, S) and the thin SVD of W = [alpha_i X S^i] over alpha_i > 0."""
+
+    X: np.ndarray
+    S: np.ndarray
+    terms: list  # (i, alpha_i, X S^i) for each alpha_i > 0, i ascending
+    s: np.ndarray
+    Vh: np.ndarray
+    full_rank: bool  # B_A has full row rank nk under numerical_rank's cutoff
+
+    def kron_factor(self):
+        """L kron I_n with L L^H = G: nk-by-rn with r = len(s), in place of B_A."""
+        return np.kron(self.Vh.T * self.s, np.eye(self.X.shape[0]))
+
+
+def _gram(P, X, S, w):
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"X must be an n-by-k matrix with k >= 1, got shape {X.shape}")
+    if X.shape[0] != P.n:
+        raise ValueError(f"X has {X.shape[0]} rows, polynomial acts on C^{P.n}")
+    S = _as_square_complex(S, X.shape[1], what="S")
+    w = _weights_for(P, w)
+    pows = _powers(S, P.degree)
+    terms = [(i, a, X @ pows[i]) for i, a in enumerate(w.alphas) if a != 0.0]
+    W = np.vstack([a * XSi for _, a, XSi in terms])
+    _, s, Vh = np.linalg.svd(W, full_matrices=False)
+    # the cutoff numerical_rank applies to the nk-by-(#alpha)n^2 matrix B_A
+    n, k = X.shape
+    tol = max(n * k, len(terms) * n * n) * EPS * s[0]
+    return _Gram(X, S, terms, s, Vh, s.size == k and bool(s[-1] > tol))
+
+
 def pair_condition_number(P, X, S, w=None):
     """Normwise condition number of a simple invariant pair.
 
-    kappa = ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F.  The pseudoinverse product
-    is formed explicitly and its 2-norm taken by SVD.  A rank-deficient
-    Jacobian (the pair is far from simple) only warns; the pseudoinverse is
-    still well defined.
+    kappa = ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F, evaluated as
+    ||[B_X B_S]^+ (L kron I)||_2 from one SVD of [B_X B_S], which also
+    gives the rank test.  The pseudoinverse keeps numpy's pinv cutoff.  A
+    rank-deficient Jacobian (the pair is far from simple) only warns; the
+    pseudoinverse is still well defined.
     """
-    X = np.asarray(X, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    B_X, B_S = pair_jacobian(P, X, S)
+    g = _gram(P, X, S, w)
+    B_X, B_S = pair_jacobian(P, g.X, g.S)
     J = np.hstack([B_X, B_S])
-    if numerical_rank(J) < J.shape[0]:
+    U, sj, _ = np.linalg.svd(J, full_matrices=False)
+    if np.count_nonzero(sj > rank_tolerance(J, sj)) < J.shape[0]:
         warnings.warn("[B_X B_S] is rank deficient; the pair is not simple", stacklevel=2)
-    B_A = perturbation_matrix(P, X, S, w)
-    M = np.linalg.pinv(J) @ B_A
-    denom = math.hypot(np.linalg.norm(X, "fro"), np.linalg.norm(S, "fro"))
+    inv = np.divide(1.0, sj, out=np.zeros_like(sj), where=sj > 1e-15 * sj[0])
+    M = inv[:, None] * (U.conj().T @ g.kron_factor())
+    denom = math.hypot(np.linalg.norm(g.X, "fro"), np.linalg.norm(g.S, "fro"))
     return float(np.linalg.norm(M, 2) / denom)
 
 
@@ -168,42 +213,36 @@ class BackwardErrorReport:
     upper: float
 
 
-def _backward_error(P, H, residual, norm_terms, smin_terms):
+def _backward_error(g, residual, norm_terms, smin_terms):
     resnorm = float(np.linalg.norm(residual, "fro"))
     low_den = math.sqrt(sum(norm_terms))
     up_den = math.sqrt(sum(smin_terms))
     lower = resnorm / low_den if low_den > 0 else math.inf
     upper = resnorm / up_den if up_den > 0 else math.inf
     eta = None
-    if numerical_rank(H) == H.shape[0]:
-        z, *_ = np.linalg.lstsq(H, -residual.ravel(order="F"), rcond=None)
-        eta = float(np.linalg.norm(z))
+    if g.full_rank:
+        # ||H^+ r||^2 = <R, R G^{-T}> and G^{-T} = V diag(s)^-2 V^H
+        eta = float(np.linalg.norm((residual @ g.Vh.conj().T) / g.s, "fro"))
     return BackwardErrorReport(eta=eta, lower=lower, upper=upper)
 
 
 def pair_backward_error(P, X, S, w=None):
     """Smallest weighted coefficient perturbation making (X, S) exact.
 
-    eta = ||H^+ r||_2 with r = -vec(P(X, S)); the bounds replace H by its
-    extreme singular values, giving denominators with ||X S^i||_F (lower)
-    and sigma_min(X S^i) (upper).
+    eta = ||H^+ r||_2 with r = -vec(P(X, S)), computed through the k-by-k
+    Gram matrix of H; the bounds replace H by its extreme singular values,
+    giving denominators with ||X S^i||_F (lower) and sigma_min(X S^i)
+    (upper).
     """
-    X = np.asarray(X, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    w = _weights_for(P, w)
-    residual = eval_pair(P, (X, S))
-    H = perturbation_matrix(P, X, S, w)
-    pows = _powers(S, P.degree)
+    g = _gram(P, X, S, w)
+    residual = eval_pair(P, (g.X, g.S))
     norm_terms, smin_terms = [], []
-    for i, a in enumerate(w.alphas):
-        if a == 0.0:
-            continue
-        XSi = X @ pows[i]
+    for _, a, XSi in g.terms:
         norm_terms.append(a ** 2 * np.linalg.norm(XSi, "fro") ** 2)
         # lambda_min of (XS^i)^T conj(XS^i) is zero whenever k > n
         smin = 0.0 if XSi.shape[1] > XSi.shape[0] else float(np.linalg.svd(XSi, compute_uv=False)[-1])
         smin_terms.append(a ** 2 * smin ** 2)
-    return _backward_error(P, H, residual, norm_terms, smin_terms)
+    return _backward_error(g, residual, norm_terms, smin_terms)
 
 
 def solvent_jacobian(P, S):
@@ -223,16 +262,19 @@ def solvent_perturbation_matrix(P, S, w=None):
 
 
 def solvent_condition_number(P, S, w=None):
-    """kappa(S) = ||Bhat_S^{-1} Bhat_A||_2 / ||S||_F for a matrix solvent."""
-    S = np.asarray(S, dtype=complex)
-    B_S = solvent_jacobian(P, S)
-    B_A = solvent_perturbation_matrix(P, S, w)
+    """kappa(S) = ||Bhat_S^{-1} Bhat_A||_2 / ||S||_F for a matrix solvent.
+
+    Bhat_A enters as L kron I, as for pairs.
+    """
+    g = _gram(P, np.eye(P.n, dtype=complex), S, w)
+    B_S = solvent_jacobian(P, g.S)
+    LI = g.kron_factor()
     if numerical_rank(B_S) < B_S.shape[0]:
         warnings.warn("solvent Jacobian is singular; using a pseudoinverse", stacklevel=2)
-        M = np.linalg.pinv(B_S) @ B_A
+        M = np.linalg.pinv(B_S) @ LI
     else:
-        M = np.linalg.solve(B_S, B_A)
-    return float(np.linalg.norm(M, 2) / np.linalg.norm(S, "fro"))
+        M = np.linalg.solve(B_S, LI)
+    return float(np.linalg.norm(M, 2) / np.linalg.norm(g.S, "fro"))
 
 
 def solvent_backward_error(P, T, w=None):
@@ -242,20 +284,14 @@ def solvent_backward_error(P, T, w=None):
     denominators since both bounds come from the extreme singular values of
     H rather than from ||I||_F.
     """
-    T = np.asarray(T, dtype=complex)
-    w = _weights_for(P, w)
-    residual = eval_matrix(P, T)
-    H = solvent_perturbation_matrix(P, T, w)
-    pows = _powers(T, P.degree)
+    g = _gram(P, np.eye(P.n, dtype=complex), T, w)
+    residual = eval_matrix(P, g.S)
     norm_terms, smin_terms = [], []
-    for i, a in enumerate(w.alphas):
-        if a == 0.0:
-            continue
+    for i, a, Ti in g.terms:
         if i == 0:
             norm_terms.append(a ** 2)
             smin_terms.append(a ** 2)
             continue
-        Ti = pows[i]
         norm_terms.append(a ** 2 * np.linalg.norm(Ti, "fro") ** 2)
         smin_terms.append(a ** 2 * float(np.linalg.svd(Ti, compute_uv=False)[-1]) ** 2)
-    return _backward_error(P, H, residual, norm_terms, smin_terms)
+    return _backward_error(g, residual, norm_terms, smin_terms)

@@ -231,8 +231,8 @@ def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
     return MomentSequence(u=u, v=v, mu=M[:, 0, 0], contour=contour, svecs=S[:, :, 0].T)
 
 
-def block_moments(P, contour, U=None, V=None, count=8, seed=0):
-    """Block analogue of scalar_moments with n-by-xi probe matrices."""
+def _block_probes(P, U, V):
+    """U and V as complex arrays, checked to be n-by-xi of full column rank."""
     if U is None or V is None:
         raise ValueError("block probes U and V are required (xi is implied by them)")
     U = np.asarray(U, dtype=complex)
@@ -242,6 +242,12 @@ def block_moments(P, contour, U=None, V=None, count=8, seed=0):
     xi = U.shape[1]
     if numerical_rank(U) < xi or numerical_rank(V) < xi:
         raise ValueError("probe matrices must have linearly independent columns")
+    return U, V
+
+
+def block_moments(P, contour, U=None, V=None, count=8, seed=0):
+    """Block analogue of scalar_moments with n-by-xi probe matrices."""
+    U, V = _block_probes(P, U, V)
     if count < 1:
         raise ValueError("need at least one moment")
     M, S = _moment_blocks(P, contour, U, V, count)

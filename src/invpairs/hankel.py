@@ -23,6 +23,7 @@ import numpy as np
 from .contour import (
     BlockMomentSequence,
     MomentSequence,
+    _block_probes,
     block_moments,
     count_eigenvalues_inside,
     scalar_moments,
@@ -199,12 +200,9 @@ def extract_block_invariant_pair(P, contour, U, V, m=None, seed=0):
     `m` defaults to the enclosed-eigenvalue count; any rank deficiency of the
     pencil raises HankelRankError.
     """
-    if U is None or V is None:
-        raise ValueError("block extraction needs explicit probe matrices U and V")
-    if np.ndim(U) != 2 or np.shape(U)[1] < 1:
-        raise ValueError("block probes must be n-by-xi matrices with xi >= 1")
+    U, V = _block_probes(P, U, V)
     m, _ = _resolve_size(P, contour, m)
-    bmoms = block_moments(P, contour, U, V, count=2 * math.ceil(m / np.shape(U)[1]), seed=seed)
+    bmoms = block_moments(P, contour, U, V, count=2 * math.ceil(m / U.shape[1]), seed=seed)
     return _pair_from_moments(bmoms.moments, bmoms.sblocks, m)
 
 

@@ -2,8 +2,9 @@
 
 It looks each name up in its invpairs module and rebinds the wrapper under
 every module attribute that holds the original, so the names must exist and
-the refine loop must reach the line search, and the extractors the contour
-functions, through the module attribute.
+the refine loop must reach the line search, the extractors the contour
+functions, and the condition numbers the Jacobians, through the module
+attribute.
 """
 
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invpairs import hankel, problems, refine
+from invpairs import conditioning, hankel, problems, refine
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -68,3 +69,19 @@ def test_extractors_call_the_module_contour_functions(monkeypatch, multi_3x3, go
     calls.clear()
     hankel.extract_block_invariant_pair(multi_3x3, contour, np.array(probes["U"]), np.array(probes["V"]))
     assert calls == ["count_eigenvalues_inside", "block_moments"]
+
+
+def test_condition_numbers_call_the_module_jacobians(monkeypatch, quad_2x2):
+    calls = []
+    for name in ("pair_jacobian", "solvent_jacobian"):
+        original = getattr(conditioning, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(conditioning, name, counted)
+    S = np.diag([1.0, 2.0])
+    conditioning.pair_condition_number(quad_2x2, np.eye(2), S)
+    conditioning.solvent_condition_number(quad_2x2, S)
+    assert calls == ["pair_jacobian", "solvent_jacobian"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from invpairs import (
+    MatrixPolynomial,
     WeightVector,
     eval_derivative,
     eval_matrix,
@@ -20,6 +21,7 @@ from invpairs.conditioning import (
     solvent_perturbation_matrix,
 )
 from invpairs import problems
+from invpairs._numeric import numerical_rank
 
 from conftest import GOLDEN_S_SS, GOLDEN_X_SS, QUAD_EIGENPAIRS
 
@@ -50,6 +52,109 @@ def _oracle_pair_kappa(P, X, S, alphas):
     M = np.linalg.pinv(np.hstack([B_X, B_S])) @ B_A
     denom = np.sqrt(np.linalg.norm(X, "fro") ** 2 + np.linalg.norm(S, "fro") ** 2)
     return np.linalg.svd(M, compute_uv=False)[0] / denom
+
+
+def _oracle_eta(H, residual):
+    """Minimum-norm solve over the explicit H, None when H is rank deficient."""
+    if numerical_rank(H) < H.shape[0]:
+        return None
+    z, *_ = np.linalg.lstsq(H, -residual.ravel(order="F"), rcond=None)
+    return np.linalg.norm(z)
+
+
+def _random(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_polynomial(rng, n, ell):
+    return MatrixPolynomial([_random(rng, n, n) for _ in range(ell + 1)])
+
+
+def _weights(P, zero):
+    """Frobenius weights with the listed coefficients held exact."""
+    alphas = list(frobenius_weights(P).alphas)
+    for i in zero:
+        alphas[i] = 0.0
+    return WeightVector(tuple(alphas))
+
+
+# (n, ell, k, weights set to zero): k < n and k > n, zero weights, and a
+# rank-deficient Gram matrix (one nonzero weight with k > n)
+PAIR_CASES = [
+    (3, 1, 2, ()),
+    (4, 2, 6, ()),
+    (5, 2, 3, (1,)),
+    (6, 3, 8, (0,)),
+    (7, 1, 7, ()),
+    (8, 3, 5, (3,)),
+    (4, 3, 5, (0, 1, 3)),
+]
+
+
+class TestKroneckerOracle:
+    """kappa and eta against the explicitly assembled Kronecker matrices."""
+
+    @pytest.mark.parametrize("n, ell, k, zero", PAIR_CASES)
+    def test_pair(self, n, ell, k, zero):
+        rng = np.random.default_rng(1000 * n + 10 * ell + k)
+        P = _random_polynomial(rng, n, ell)
+        X, S = _random(rng, n, k), _random(rng, k, k)
+        w = _weights(P, zero)
+        kappa = _oracle_pair_kappa(P, X, S, w.alphas)
+        assert pair_condition_number(P, X, S, w) == pytest.approx(kappa, rel=1e-10)
+        eta = _oracle_eta(perturbation_matrix(P, X, S, w), eval_pair(P, (X, S)))
+        got = pair_backward_error(P, X, S, w).eta
+        # random X and S: G has rank min(k, (#alpha)n)
+        assert (got is None) == (eta is None) == (k > (ell + 1 - len(zero)) * n)
+        if eta is not None:
+            assert got == pytest.approx(eta, rel=1e-10)
+
+    @pytest.mark.parametrize("n, ell, zero, singular", [
+        (3, 1, (), False),
+        (5, 2, (1,), False),
+        (6, 3, (2, 3), False),
+        (8, 2, (), False),
+        (4, 1, (0,), True),
+    ])
+    def test_solvent(self, n, ell, zero, singular):
+        rng = np.random.default_rng(100 * n + ell)
+        P = _random_polynomial(rng, n, ell)
+        T = _random(rng, n, n)
+        if singular:
+            T[:, 0] = T[:, 1]
+        w = _weights(P, zero)
+        B_A = solvent_perturbation_matrix(P, T, w)
+        kappa = np.linalg.norm(np.linalg.solve(solvent_jacobian(P, T), B_A), 2) / np.linalg.norm(T)
+        assert solvent_condition_number(P, T, w) == pytest.approx(kappa, rel=1e-10)
+        eta = _oracle_eta(B_A, eval_matrix(P, T))
+        got = solvent_backward_error(P, T, w).eta
+        assert (got is None) == (eta is None) == singular
+        if eta is not None:
+            assert got == pytest.approx(eta, rel=1e-10)
+
+
+class TestShapeChecks:
+    def test_pair_condition_number(self, quad_2x2):
+        with pytest.raises(ValueError, match="X has 3 rows, polynomial acts on C\\^2"):
+            pair_condition_number(quad_2x2, np.ones((3, 2)), np.eye(2))
+        with pytest.raises(ValueError, match="S must be 2x2"):
+            pair_condition_number(quad_2x2, np.eye(2), np.eye(3))
+
+    def test_pair_backward_error(self, quad_2x2):
+        with pytest.raises(ValueError, match="S must be 2x2"):
+            pair_backward_error(quad_2x2, np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="S must be square"):
+            pair_backward_error(quad_2x2, np.eye(2), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="n-by-k"):
+            pair_backward_error(quad_2x2, np.ones(2), np.eye(1))
+
+    def test_solvent_condition_number(self, quad_2x2):
+        with pytest.raises(ValueError, match="S must be 2x2"):
+            solvent_condition_number(quad_2x2, np.eye(3))
+
+    def test_solvent_backward_error(self, quad_2x2):
+        with pytest.raises(ValueError, match="S must be square"):
+            solvent_backward_error(quad_2x2, np.ones((2, 3)))
 
 
 class TestWeights:

@@ -16,7 +16,7 @@ from invpairs import (
     scalar_moments,
     block_moments,
 )
-from invpairs import problems
+from invpairs import hankel, problems
 
 from conftest import (
     GOLDEN_BLOCK_T,
@@ -276,6 +276,15 @@ class TestExtractBlockInvariantPair:
             extract_block_invariant_pair(multi_3x3, golden_contours["multi_3x3"], empty, empty, m=5)
         with pytest.raises(ValueError, match="xi >= 1"):
             block_moments(multi_3x3, golden_contours["multi_3x3"], empty, empty)
+
+    def test_dependent_probes_rejected_before_counting(self, monkeypatch, multi_3x3, golden_contours):
+        def count(*args, **kwargs):
+            raise AssertionError("counted eigenvalues before checking the probes")
+
+        monkeypatch.setattr(hankel, "count_eigenvalues_inside", count)
+        ones = np.ones((3, 2))
+        with pytest.raises(ValueError, match="linearly independent columns"):
+            extract_block_invariant_pair(multi_3x3, golden_contours["multi_3x3"], ones, ones)
 
 
 def pencil_eigenvalues_of(T):
