@@ -13,6 +13,10 @@ P(z)^{-1} v gives the moment vectors s_k, and with tall probe matrices U, V
 it gives the block moments M_k = U^H S_k.  The trapezoid rule converges
 exponentially here because the integrand is analytic in an annulus around
 the circle.
+
+One LU factorization of P(z_j) per node serves both the eigenvalue count
+and the moments: the count, scalar_moments and block_moments accept either
+a Contour or the node factorization the extractors build once from it.
 """
 
 import math
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .matpoly import eval_derivative, eval_scalar
 from ._numeric import numerical_rank
@@ -170,39 +174,51 @@ def default_probe_vectors(n, seed=0, count=2):
     return tuple(probes)
 
 
-def _factor_at_nodes(P, contour):
-    """LU-factor P(z_j) at every node, guarding against near-singular nodes."""
-    from scipy.linalg import LinAlgWarning
+class _NodeFactors(NamedTuple):
+    """LU factors of P(z_j) at the nodes z_j, weights w_j, of a contour."""
 
+    contour: Contour
+    z: np.ndarray
+    w: np.ndarray
+    lus: list
+
+
+def _factor_at_nodes(P, contour):
+    """LU-factor P(z_j) at every node, guarding against near-singular nodes.
+
+    An already factored contour (a _NodeFactors) is returned as it is.
+    """
+    if isinstance(contour, _NodeFactors):
+        return contour
     z, w = contour.points()
     lus = []
     gecon = None
-    for j, zj in enumerate(z):
-        Pz = eval_scalar(P, zj)
-        if gecon is None:
-            gecon = get_lapack_funcs(("gecon",), (Pz,))[0]
-        anorm = np.linalg.norm(Pz, 1)
-        with warnings.catch_warnings():
-            # singularity is detected via the condition estimate below
-            warnings.simplefilter("ignore", LinAlgWarning)
+    with warnings.catch_warnings():
+        # singularity is detected via the condition estimate below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        for j, zj in enumerate(z):
+            Pz = eval_scalar(P, zj)
+            if gecon is None:
+                gecon = get_lapack_funcs(("gecon",), (Pz,))[0]
+            anorm = np.linalg.norm(Pz, 1)
             lu = lu_factor(Pz)
-        rcond, _ = gecon(lu[0], anorm)
-        cond = np.inf if rcond == 0 else 1.0 / rcond
-        if cond > NEAR_CONTOUR_CONDITION:
-            raise EigenvalueOnContourError(j, 2 * math.pi * j / contour.nodes, cond)
-        lus.append(lu)
-    return z, w, lus
+            rcond, _ = gecon(lu[0], anorm)
+            cond = np.inf if rcond == 0 else 1.0 / rcond
+            if cond > NEAR_CONTOUR_CONDITION:
+                raise EigenvalueOnContourError(j, 2 * math.pi * j / contour.nodes, cond)
+            lus.append(lu)
+    return _NodeFactors(contour, z, w, lus)
 
 
-def _moment_blocks(P, contour, U, V, count):
+def _moment_blocks(nodes, U, V, count):
     """Moment blocks M_k = U^H S_k and S_k of P(z)^{-1} V for k < count.
 
     One LU factorization per node serves every order: the node solves
     Y_j = P(z_j)^{-1} V are stacked, and S_k = sum_j w_j z_j^k Y_j for all k
     is one product with the weighted Vandermonde matrix.
     """
-    z, w, lus = _factor_at_nodes(P, contour)
-    Y = np.stack([lu_solve(lu, V) for lu in lus])
+    z, w = nodes.z, nodes.w
+    Y = np.stack([lu_solve(lu, V) for lu in nodes.lus])
     W = w[:, None] * np.vander(z, count, increasing=True)
     S = (W.T @ Y.reshape(len(z), -1)).reshape(count, *V.shape)
     return U.conj().T @ S, S
@@ -227,8 +243,9 @@ def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
         raise ValueError("probe vectors must be nonzero")
     if count < 1:
         raise ValueError("need at least one moment")
-    M, S = _moment_blocks(P, contour, u[:, None], v[:, None], count)
-    return MomentSequence(u=u, v=v, mu=M[:, 0, 0], contour=contour, svecs=S[:, :, 0].T)
+    nodes = _factor_at_nodes(P, contour)
+    M, S = _moment_blocks(nodes, u[:, None], v[:, None], count)
+    return MomentSequence(u=u, v=v, mu=M[:, 0, 0], contour=nodes.contour, svecs=S[:, :, 0].T)
 
 
 def _block_probes(P, U, V):
@@ -250,8 +267,9 @@ def block_moments(P, contour, U=None, V=None, count=8, seed=0):
     U, V = _block_probes(P, U, V)
     if count < 1:
         raise ValueError("need at least one moment")
-    M, S = _moment_blocks(P, contour, U, V, count)
-    return BlockMomentSequence(U=U, V=V, moments=tuple(M), contour=contour, sblocks=tuple(S))
+    nodes = _factor_at_nodes(P, contour)
+    M, S = _moment_blocks(nodes, U, V, count)
+    return BlockMomentSequence(U=U, V=V, moments=tuple(M), contour=nodes.contour, sblocks=tuple(S))
 
 
 def count_eigenvalues_inside(P, contour):
@@ -262,10 +280,10 @@ def count_eigenvalues_inside(P, contour):
     indicator; a residual above 0.1 triggers a warning to increase N or move
     the contour.
     """
-    z, w, lus = _factor_at_nodes(P, contour)
+    nodes = _factor_at_nodes(P, contour)
     acc = 0.0 + 0.0j
-    for j in range(contour.nodes):
-        acc += w[j] * np.trace(lu_solve(lus[j], eval_derivative(P, z[j])))
+    for zj, wj, lu in zip(nodes.z, nodes.w, nodes.lus):
+        acc += wj * np.trace(lu_solve(lu, eval_derivative(P, zj)))
     m = int(round(acc.real))
     quality = abs(acc - m)
     if quality > 0.1:

@@ -24,6 +24,7 @@ from .contour import (
     BlockMomentSequence,
     MomentSequence,
     _block_probes,
+    _factor_at_nodes,
     block_moments,
     count_eigenvalues_inside,
     scalar_moments,
@@ -159,14 +160,17 @@ def pencil_eigenvalues(hp, rel_tol=1e-6):
 
 
 def _resolve_size(P, contour, m):
+    """Pencil size (default: the enclosed count), whether it defaulted, and
+    the node factorization that the count and the moments share."""
+    if m is not None and m < 1:
+        raise ValueError("m must be at least 1")
+    nodes = _factor_at_nodes(P, contour)
     if m is not None:
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        return int(m), False
-    count = count_eigenvalues_inside(P, contour)
+        return int(m), False, nodes
+    count = count_eigenvalues_inside(P, nodes)
     if count.count < 1:
         raise ValueError("contour encloses no eigenvalues; nothing to extract")
-    return count.count, True
+    return count.count, True, nodes
 
 
 def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
@@ -178,8 +182,8 @@ def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
     truncated to the numerical rank with a warning; an explicitly requested
     m is strict and raises HankelRankError instead.
     """
-    m, defaulted = _resolve_size(P, contour, m)
-    moms = scalar_moments(P, contour, u, v, count=2 * m, seed=seed)
+    m, defaulted, nodes = _resolve_size(P, contour, m)
+    moms = scalar_moments(P, nodes, u, v, count=2 * m, seed=seed)
     moments, blocks = moms.mu[:, None, None], moms.svecs.T[:, :, None]
     try:
         return _pair_from_moments(moments, blocks, m)
@@ -201,8 +205,8 @@ def extract_block_invariant_pair(P, contour, U, V, m=None, seed=0):
     pencil raises HankelRankError.
     """
     U, V = _block_probes(P, U, V)
-    m, _ = _resolve_size(P, contour, m)
-    bmoms = block_moments(P, contour, U, V, count=2 * math.ceil(m / U.shape[1]), seed=seed)
+    m, _, nodes = _resolve_size(P, contour, m)
+    bmoms = block_moments(P, nodes, U, V, count=2 * math.ceil(m / U.shape[1]), seed=seed)
     return _pair_from_moments(bmoms.moments, bmoms.sblocks, m)
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from invpairs import (
     Contour,
+    EigenvalueOnContourError,
     HankelPencil,
     HankelRankError,
     build_block_hankel,
@@ -15,7 +18,9 @@ from invpairs import (
     pencil_eigenvalues,
     scalar_moments,
     block_moments,
+    count_eigenvalues_inside,
 )
+from invpairs import contour as contour_module
 from invpairs import hankel, problems
 
 from conftest import (
@@ -282,9 +287,115 @@ class TestExtractBlockInvariantPair:
             raise AssertionError("counted eigenvalues before checking the probes")
 
         monkeypatch.setattr(hankel, "count_eigenvalues_inside", count)
+        factored = _count_factorizations(monkeypatch)
         ones = np.ones((3, 2))
         with pytest.raises(ValueError, match="linearly independent columns"):
             extract_block_invariant_pair(multi_3x3, golden_contours["multi_3x3"], ones, ones)
+        assert factored == []
+
+
+def _count_factorizations(monkeypatch):
+    """Record every P(z_j) that contour factors (the hook the benchmark tracer uses)."""
+    factored = []
+    original = contour_module.lu_factor
+
+    def counted(a, *args, **kwargs):
+        factored.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(contour_module, "lu_factor", counted)
+    return factored
+
+
+# A circle per bundled problem, each enclosing part of its spectrum.
+FIXTURE_CONTOURS = {
+    "diag_4x4": Contour(0.75, 0.5),
+    "ss_2x2": Contour(1.0, 0.5),
+    "multi_3x3": Contour(1.0, 0.1),
+    "quad_solvents_2x2": Contour(1.5, 1.0),
+    "infinite_family_3x3": Contour(3.0, 0.5),
+    "infinite_family_3x3_triangular": Contour(3.0, 0.5),
+    "residue_diag_2x2": Contour(1.5, 1.0),
+}
+
+
+def _outcome(call):
+    """(X, S) or the raised error, with the warnings issued on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pair = call()
+            result = (pair.X, pair.S)
+        except (ValueError, RuntimeError) as err:
+            result = (type(err), str(err))
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_same_bits(a, b):
+    (ra, wa), (rb, wb) = a, b
+    assert wa == wb
+    assert len(ra) == len(rb)
+    for x, y in zip(ra, rb):
+        assert (np.array_equal(x, y) and x.dtype == y.dtype) if isinstance(x, np.ndarray) else x == y
+
+
+class TestSharedNodeFactorization:
+    """The count and the moments of one extraction share one LU per node."""
+
+    def test_each_node_factored_once(self, monkeypatch, multi_3x3, golden_contours):
+        contour = golden_contours["multi_3x3"]
+        factored = _count_factorizations(monkeypatch)
+        # default m: counted 5, truncated to rank 3 and rerun on the same moments
+        with pytest.warns(UserWarning, match="truncating"):
+            extract_invariant_pair(multi_3x3, contour, [3, 1, -2], [3, -1, -2])
+        assert len(factored) == contour.nodes
+        factored.clear()
+        extract_block_invariant_pair(multi_3x3, contour, U3, V3)
+        assert len(factored) == contour.nodes
+        factored.clear()
+        extract_invariant_pair(multi_3x3, contour, [3, 1, -2], [3, -1, -2], m=3)
+        assert len(factored) == contour.nodes
+
+    @pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+    def test_sharing_changes_no_bits(self, monkeypatch, name):
+        P = problems.PROBLEMS[name]()
+        contour = FIXTURE_CONTOURS[name]
+        rng = np.random.default_rng(3)
+        U, V = (rng.standard_normal((P.n, 2)) + 1j * rng.standard_normal((P.n, 2)) for _ in range(2))
+        calls = [
+            lambda: extract_invariant_pair(P, contour),
+            lambda: extract_invariant_pair(P, contour, m=2),
+            lambda: extract_block_invariant_pair(P, contour, U, V),
+        ]
+        shared = [_outcome(call) for call in calls]
+        assert any(isinstance(result[0], np.ndarray) for result, _ in shared)
+        # the reference path: the count and the moments each factor the nodes
+        with monkeypatch.context() as m:
+            m.setattr(hankel, "_factor_at_nodes", lambda P, contour: contour)
+            separate = [_outcome(call) for call in calls]
+        for a, b in zip(shared, separate):
+            _assert_same_bits(a, b)
+
+        nodes = contour_module._factor_at_nodes(P, contour)
+        assert count_eigenvalues_inside(P, nodes) == count_eigenvalues_inside(P, contour)
+        for a, b in [(scalar_moments(P, nodes, count=6), scalar_moments(P, contour, count=6)),
+                     (block_moments(P, nodes, U, V, count=6), block_moments(P, contour, U, V, count=6))]:
+            assert a.contour == b.contour == contour
+            for field in ("mu", "svecs") if hasattr(a, "mu") else ("moments", "sblocks"):
+                assert np.array_equal(np.asarray(getattr(a, field)), np.asarray(getattr(b, field)))
+
+    def test_node_on_eigenvalue_raises_from_both_extractors(self, ss_2x2):
+        # node 4 of this circle sits on the eigenvalue 0
+        contour = Contour(1.0, 1.0, nodes=8)
+        with pytest.raises(EigenvalueOnContourError) as counted:
+            count_eigenvalues_inside(ss_2x2, contour)
+        assert counted.value.node == 4
+        U = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for extract in (lambda: extract_invariant_pair(ss_2x2, contour, [1, -1], [-1, 1]),
+                        lambda: extract_block_invariant_pair(ss_2x2, contour, U, U)):
+            with pytest.raises(EigenvalueOnContourError) as err:
+                extract()
+            assert (err.value.node, err.value.t) == (counted.value.node, counted.value.t)
 
 
 def pencil_eigenvalues_of(T):

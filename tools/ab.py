@@ -1,0 +1,155 @@
+"""A/B benchmark of a parent revision against the checkout this script is in.
+
+    python3 tools/ab.py --workload extract --parent HEAD~1 --seeds 1-10 --confirm 11
+
+The parent revision is checked out with `git worktree add --detach` into a
+temporary directory, which is removed afterwards.  For every seed the
+parent and the child (this checkout) each run
+
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
+
+from their own tree, one after the other, with T the run_seconds of
+BENCHMARK.json; the side that runs first alternates from seed to seed.
+The result goes to BENCH_<workload>.json: for each end-to-end metric of
+BENCHMARK.json, both sides' median and quartiles over the --seeds pairs
+and the pairs the child won, then the --confirm pairs on their own, every
+run's values, both commit SHAs, and the cores, BLAS threads and
+numpy/scipy versions the runs reported.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "child")
+RUN_TIMEOUT = 900
+
+
+def parse_seeds(text):
+    """'1-10' or '1,3,5' (or a mix, '1-3,7') as a list of ints."""
+    seeds = []
+    for part in filter(None, text.split(",")):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run_bench(tree, workload, seed, seconds):
+    """One benchmark run in `tree`; returns (env, result) from its last two lines."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr[-2000:]}")
+    env_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    return json.loads(env_line)["env"], json.loads(result_line)
+
+
+def run_pairs(trees, workload, seeds, seconds, start=0):
+    """One parent and one child run per seed; pair i runs the parent first iff (start + i) is even."""
+    runs, env = [], None
+    for i, seed in enumerate(seeds):
+        order = SIDES if (start + i) % 2 == 0 else SIDES[::-1]
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            env, result = run_bench(trees[side], workload, seed, seconds)
+            run[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            run[f"{side}_status"] = {k: result[k] for k in ("correct", "attempted", "failed")}
+        print(workload, seed, {name: (round(run["parent"][name], 4), round(run["child"][name], 4))
+                               for name in run["child"]}, file=sys.stderr, flush=True)
+        runs.append(run)
+    return runs, env
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarize(runs, definitions):
+    """Per-metric medians, quartiles and child wins over the runs of several seeds.
+
+    `definitions` are the end_to_end entries of BENCHMARK.json (name, unit,
+    better).  The child wins a pair when its value is better in the metric's
+    direction; equal values are ties.  `clear` says whether the child's
+    median is better than the parent's by more than the parent's
+    interquartile range.
+    """
+    out = {}
+    for d in definitions:
+        name, sign = d["name"], 1.0 if d["better"] == "higher" else -1.0
+        pairs = [(r["parent"][name], r["child"][name]) for r in runs]
+        entry = {"unit": d["unit"], "better": d["better"], "pairs": len(pairs),
+                 "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+                 "ties": sum(c == p for p, c in pairs)}
+        for side, values in zip(SIDES, zip(*pairs)):
+            q1, q3 = _quartiles(list(values))
+            entry[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+        parent, child = entry["parent"], entry["child"]
+        entry["change"] = child["median"] / parent["median"] - 1.0 if parent["median"] else None
+        entry["clear"] = sign * (child["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        out[name] = entry
+    return out
+
+
+def machine(env):
+    """Cores, BLAS threads and library versions as a bench/run.py run reports them."""
+    return {"cores": env["nproc"], "cpus_usable": env["cpus_usable"],
+            "blas_threads": sorted({lib.get("threads") for lib in env["blas"]} - {None}),
+            "thread_env": env["thread_env"], "python": env["python"],
+            "numpy": env["numpy"], "scipy": env["scipy"]}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=("extract", "refine", "certify"))
+    ap.add_argument("--parent", default="HEAD~1", help="revision to compare against (default HEAD~1)")
+    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
+    ap.add_argument("--confirm", type=parse_seeds, default=[],
+                    help="seeds run after --seeds and reported on their own")
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    out = ROOT / f"BENCH_{args.workload}.json"
+    shas = {"parent": _git("rev-parse", args.parent), "child": _git("rev-parse", "HEAD")}
+    dirty = bool(_git("status", "--porcelain", "--", "src", "bench"))
+
+    with tempfile.TemporaryDirectory(prefix="invpairs-ab-") as tmp:
+        worktree = Path(tmp) / "parent"
+        _git("worktree", "add", "--detach", str(worktree), shas["parent"])
+        try:
+            trees = {"parent": worktree, "child": ROOT}
+            runs, env = run_pairs(trees, args.workload, args.seeds, seconds)
+            confirm, _ = run_pairs(trees, args.workload, args.confirm, seconds, start=len(runs))
+        finally:
+            _git("worktree", "remove", "--force", str(worktree))
+
+    doc = {
+        "workload": args.workload,
+        "command": f"python3 bench/run.py --workload {args.workload} --seed S --seconds {seconds:g} --trace 0",
+        "parent": shas["parent"], "child": shas["child"], "child_tree_dirty": dirty,
+        "machine": machine(env),
+        "seeds": args.seeds,
+        "metrics": summarize(runs, bench["end_to_end"]),
+        "confirm": {"seeds": args.confirm,
+                    "metrics": summarize(confirm, bench["end_to_end"]) if confirm else {}},
+        "runs": runs + confirm,
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
