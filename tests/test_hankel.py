@@ -378,11 +378,12 @@ class TestSharedNodeFactorization:
 
         nodes = contour_module._factor_at_nodes(P, contour)
         assert count_eigenvalues_inside(P, nodes) == count_eigenvalues_inside(P, contour)
-        for a, b in [(scalar_moments(P, nodes, count=6), scalar_moments(P, contour, count=6)),
-                     (block_moments(P, nodes, U, V, count=6), block_moments(P, contour, U, V, count=6))]:
-            assert a.contour == b.contour == contour
-            for field in ("mu", "svecs") if hasattr(a, "mu") else ("moments", "sblocks"):
-                assert np.array_equal(np.asarray(getattr(a, field)), np.asarray(getattr(b, field)))
+        a, b = scalar_moments(P, nodes, count=6), scalar_moments(P, contour, count=6)
+        assert a.contour == b.contour == contour
+        assert np.array_equal(a.mu, b.mu) and np.array_equal(a.svecs, b.svecs)
+        a, b = block_moments(P, nodes, U, V, count=6), block_moments(P, contour, U, V, count=6)
+        assert a.contour == b.contour == contour
+        assert np.array_equal(a.moments, b.moments) and np.array_equal(a.sblocks, b.sblocks)
 
     def test_node_on_eigenvalue_raises_from_both_extractors(self, ss_2x2):
         # node 4 of this circle sits on the eigenvalue 0
