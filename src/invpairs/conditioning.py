@@ -11,7 +11,11 @@ with the Kronecker blocks
     B_S = sum_j sum_{i<j} (S^{j-i-1})^T kron (A_j X S^i),
     B_A = [alpha_ell (X S^ell)^T kron I, ..., alpha_0 X^T kron I],
 
-so the condition number is ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F.  The same
+so the condition number is ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F.  B_X and
+B_S are assembled blockwise from the stacked powers S^j, one matrix product
+each, with no Kronecker temporaries; J = [B_X B_S] enters through one
+pivoted-QR minimum-norm solve, and an SVD runs only when that solve finds J
+of rank below nk.  The same
 B_A matrix, seen as the map from scaled coefficient perturbations to the
 residual, yields the backward error as a minimum-norm solve, sandwiched by
 the closed-form bounds with ||X S^i||_F and sigma_min(X S^i).  Solvents are
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .matpoly import _as_square_complex, eval_matrix, eval_pair
 from ._numeric import EPS, numerical_rank, rank_tolerance
@@ -95,33 +100,40 @@ def _weights_for(P, w):
 
 def _powers(S, ell):
     k = S.shape[0]
-    pows = [np.eye(k, dtype=complex)]
-    for _ in range(ell):
-        pows.append(pows[-1] @ S)
+    pows = np.empty((ell + 1, k, k), dtype=complex)
+    pows[0] = np.eye(k)
+    for j in range(ell):
+        pows[j + 1] = pows[j] @ S
     return pows
+
+
+def _kron_sum(F, G):
+    """sum_j F_j^T kron G_j for stacks F (m, k, k), G (m, n, c): entry (a n + r, b c + s)
+    is sum_j F_j[b, a] G_j[r, s], one (k^2 x m)(m x nc) product in block order."""
+    m, k, _ = F.shape
+    _, n, c = G.shape
+    T = F.transpose(2, 1, 0).reshape(k * k, m) @ G.reshape(m, n * c)
+    return T.reshape(k, k, n, c).transpose(0, 2, 1, 3).reshape(n * k, k * c)
 
 
 def pair_jacobian(P, X, S):
     """Blocks (B_X, B_S) of the Frechet derivative of (X, S) -> P(X, S)."""
     X = np.asarray(X, dtype=complex)
     S = np.asarray(S, dtype=complex)
-    n, k = X.shape
-    ell = P.degree
-    pows = _powers(S, ell)
-    B_X = np.zeros((n * k, n * k), dtype=complex)
-    for j in range(ell + 1):
-        B_X += np.kron(pows[j].T, P.coeffs[j])
-    return B_X, _ds_block(P, X, pows)
+    pows = _powers(S, P.degree)
+    return _kron_sum(pows, np.asarray(P.coeffs)), _ds_block(P, X, pows)
 
 
 def _ds_block(P, X, pows):
-    """B_S = sum_j sum_{i<j} (S^{j-i-1})^T kron (A_j X S^i), given pows = S^0..S^ell."""
-    n, k = X.shape
-    B_S = np.zeros((n * k, k * k), dtype=complex)
-    for j in range(1, P.degree + 1):
-        for i in range(j):
-            B_S += np.kron(pows[j - i - 1].T, P.coeffs[j] @ X @ pows[i])
-    return B_S
+    """B_S = sum_j sum_{i<j} (S^{j-i-1})^T kron (A_j X S^i), given pows = S^0..S^ell.
+
+    Grouped by m = j - i - 1, B_S = sum_m (S^m)^T kron D_m with
+    D_m = sum_i A_{m+1+i} X S^i, which obeys D_m = A_{m+1} X + D_{m+1} S.
+    """
+    D = np.asarray(P.coeffs[1:]) @ X
+    for m in range(P.degree - 2, -1, -1):
+        D[m] += D[m + 1] @ pows[1]
+    return _kron_sum(pows[:-1], D)
 
 
 def perturbation_matrix(P, X, S, w=None):
@@ -179,23 +191,35 @@ def _gram(P, X, S, w):
     return _Gram(X, S, terms, s, Vh, s.size == k and bool(s[-1] > tol))
 
 
+def _min_norm_solve(J, B):
+    """Minimum-norm solution of J Z = B by xGELSY (column-pivoted QR, rank cutoff
+    sqrt(eps)) when J has full row rank, so the solution is exact; else None."""
+    Z, _, rank, _ = scipy.linalg.lstsq(J, B, cond=math.sqrt(EPS), lapack_driver="gelsy",
+                                       check_finite=False)
+    return Z if rank == J.shape[0] else None
+
+
 def pair_condition_number(P, X, S, w=None):
     """Normwise condition number of a simple invariant pair.
 
     kappa = ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F, evaluated as
-    ||[B_X B_S]^+ (L kron I)||_2 from one SVD of [B_X B_S], which also
-    gives the rank test.  The pseudoinverse keeps numpy's pinv cutoff.  A
+    ||[B_X B_S]^+ (L kron I)||_2 from one pivoted-QR minimum-norm solve.
+    When that solve does not find full row rank nk, one SVD of [B_X B_S]
+    gives the rank test and the pseudoinverse, with numpy's pinv cutoff.  A
     rank-deficient Jacobian (the pair is far from simple) only warns; the
     pseudoinverse is still well defined.
     """
     g = _gram(P, X, S, w)
     B_X, B_S = pair_jacobian(P, g.X, g.S)
     J = np.hstack([B_X, B_S])
-    U, sj, _ = np.linalg.svd(J, full_matrices=False)
-    if np.count_nonzero(sj > rank_tolerance(J, sj)) < J.shape[0]:
-        warnings.warn("[B_X B_S] is rank deficient; the pair is not simple", stacklevel=2)
-    inv = np.divide(1.0, sj, out=np.zeros_like(sj), where=sj > 1e-15 * sj[0])
-    M = inv[:, None] * (U.conj().T @ g.kron_factor())
+    LI = g.kron_factor()
+    M = _min_norm_solve(J, LI)
+    if M is None:
+        U, sj, _ = np.linalg.svd(J, full_matrices=False)
+        if np.count_nonzero(sj > rank_tolerance(J, sj)) < J.shape[0]:
+            warnings.warn("[B_X B_S] is rank deficient; the pair is not simple", stacklevel=2)
+        inv = np.divide(1.0, sj, out=np.zeros_like(sj), where=sj > 1e-15 * sj[0])
+        M = inv[:, None] * (U.conj().T @ LI)
     denom = math.hypot(np.linalg.norm(g.X, "fro"), np.linalg.norm(g.S, "fro"))
     return float(np.linalg.norm(M, 2) / denom)
 

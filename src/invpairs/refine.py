@@ -4,10 +4,12 @@ Each iteration solves the correction equation
 
     DP_(X,S)(DX, DS) = -P(X, S)
 
-in vectorized form through the Kronecker blocks [B_X B_S] (minimum-norm
-least squares: the equation has nk rows and nk + k^2 unknowns and carries no
-normalization of its own), then picks the step length t in [0, 2] minimizing
-the squared residual along the step,
+in vectorized form through the Kronecker blocks [B_X B_S], assembled
+blockwise (minimum-norm least squares: the equation has nk rows and nk + k^2
+unknowns and carries no normalization of its own).  One pivoted-QR
+minimum-norm solve serves every Jacobian of full row rank; below that rank
+the SVD-based lstsq decides the rank and warns.  The iteration then picks
+the step length t in [0, 2] minimizing the squared residual along the step,
 
     p(t) = ||P(X + t dX, S + t dS)||_F^2.
 
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.polynomial import Polynomial, polynomial
 from scipy.linalg import lu_factor, lu_solve
 
-from .conditioning import pair_jacobian, solvent_jacobian
+from .conditioning import _min_norm_solve, pair_jacobian, solvent_jacobian
 from .contour import Contour
 from .matpoly import InvariantPair, eval_matrix, eval_pair, eval_scalar
 from .solvents import Solvent
@@ -152,12 +154,14 @@ def newton_correction(P, X, S):
     B_X, B_S = pair_jacobian(P, X, S)
     J = np.hstack([B_X, B_S])
     rhs = -eval_pair(P, (X, S)).ravel(order="F")
-    sol, _, rank, _ = np.linalg.lstsq(J, rhs, rcond=None)
-    if rank < n * k:
-        warnings.warn(
-            f"correction Jacobian has rank {rank} < {n * k}; pair is far from simple",
-            stacklevel=2,
-        )
+    sol, rank = _min_norm_solve(J, rhs), n * k
+    if sol is None:
+        sol, _, rank, _ = np.linalg.lstsq(J, rhs, rcond=None)
+        if rank < n * k:
+            warnings.warn(
+                f"correction Jacobian has rank {rank} < {n * k}; pair is far from simple",
+                stacklevel=2,
+            )
     dX = sol[: n * k].reshape((n, k), order="F")
     dS = sol[n * k:].reshape((k, k), order="F")
     return NewtonCorrection(dX, dS, float(np.linalg.norm(J @ sol - rhs)), int(rank))

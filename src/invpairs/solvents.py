@@ -216,9 +216,11 @@ class _Affine:
         return out + value * c
 
 
-def _affine_poly_entry(coeff_entries, S, i, j, size):
+def _affine_poly_entry(coeff_entries, S, i, j):
     """Entry (i, j) of sum_p T_p S^p for an affine upper triangular S."""
-    # running = S^p as affine rows, accumulated entry via the i-th row of T_p
+    # power = S^p restricted to rows and columns i..j (all that entry (i, j)
+    # reads), power[r - i][c - i] = (S^p)[r][c]; acc takes row i of T_p
+    size = j - i + 1
     acc = _Affine(coeff_entries[0][i][j])
     power = [[_Affine(1.0 if r == c else 0.0) for c in range(size)] for r in range(size)]
     for p in range(1, len(coeff_entries)):
@@ -227,11 +229,11 @@ def _affine_poly_entry(coeff_entries, S, i, j, size):
             for c in range(r, size):
                 total = _Affine(0.0)
                 for q in range(r, c + 1):
-                    total = total + power[r][q] * S[q][c]
+                    total = total + power[r][q] * S[i + q][i + c]
                 nxt[r][c] = total
         power = nxt
-        for q in range(i, j + 1):
-            acc = acc + power[q][j] * coeff_entries[p][i][q]
+        for q in range(size):
+            acc = acc + power[q][-1] * coeff_entries[p][i][i + q]
     return acc
 
 
@@ -305,7 +307,7 @@ def _solve_branch(coeff_entries, diag, n, zero_tol):
             j = i + span
             diag_coeffs = [coeff_entries[p][i][i] for p in range(len(coeff_entries))]
             a = _divided_difference(diag_coeffs, diag[i], diag[j])
-            b = _affine_poly_entry(coeff_entries, S, i, j, n)
+            b = _affine_poly_entry(coeff_entries, S, i, j)
             if abs(a) > zero_tol:
                 S[i][j] = b * (-1.0 / a)
                 continue

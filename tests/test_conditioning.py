@@ -20,7 +20,7 @@ from invpairs.conditioning import (
     solvent_jacobian,
     solvent_perturbation_matrix,
 )
-from invpairs import problems
+from invpairs import conditioning, problems
 from invpairs._numeric import numerical_rank
 
 from conftest import GOLDEN_S_SS, GOLDEN_X_SS, QUAD_EIGENPAIRS
@@ -133,6 +133,45 @@ class TestKroneckerOracle:
             assert got == pytest.approx(eta, rel=1e-10)
 
 
+def _kron_jacobian(P, X, S):
+    """(B_X, B_S) as the sums of explicit Kronecker products."""
+    pows = [np.eye(S.shape[0], dtype=complex)]
+    for _ in range(P.degree):
+        pows.append(pows[-1] @ S)
+    B_X = sum(np.kron(pows[j].T, A) for j, A in enumerate(P.coeffs))
+    B_S = sum(np.kron(pows[j - i - 1].T, P.coeffs[j] @ X @ pows[i])
+              for j in range(1, P.degree + 1) for i in range(j))
+    return B_X, B_S
+
+
+def _rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestBlockwiseJacobian:
+    """The blockwise assembly against the Kronecker-sum definition."""
+
+    @pytest.mark.parametrize("n, ell, k", [
+        (2, 1, 1), (2, 4, 3), (3, 2, 5), (4, 3, 2), (5, 1, 7),
+        (6, 4, 3), (7, 2, 9), (8, 3, 4), (8, 4, 10),
+    ])
+    def test_pair(self, n, ell, k):
+        rng = np.random.default_rng(1000 * n + 10 * ell + k)
+        P = _random_polynomial(rng, n, ell)
+        X, S = _random(rng, n, k), _random(rng, k, k)
+        for got, want in zip(pair_jacobian(P, X, S), _kron_jacobian(P, X, S)):
+            assert got.shape == want.shape
+            assert _rel_diff(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("n, ell", [(2, 1), (3, 4), (5, 2), (8, 3)])
+    def test_solvent(self, n, ell):
+        rng = np.random.default_rng(100 * n + ell)
+        P = _random_polynomial(rng, n, ell)
+        S = _random(rng, n, n)
+        want = _kron_jacobian(P, np.eye(n, dtype=complex), S)[1]
+        assert _rel_diff(solvent_jacobian(P, S), want) <= 1e-14
+
+
 class TestShapeChecks:
     def test_pair_condition_number(self, quad_2x2):
         with pytest.raises(ValueError, match="X has 3 rows, polynomial acts on C\\^2"):
@@ -212,6 +251,21 @@ class TestPairConditionNumber:
         with pytest.warns(UserWarning, match="rank deficient"):
             pair_condition_number(ss_2x2, X, S)
 
+    def test_nonsimple_pair_uses_pseudoinverse(self, ss_2x2):
+        # the pivoted-QR solve finds rank 3 < nk and leaves kappa to the SVD
+        # path, which must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
+        X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], dtype=complex)
+        S = np.zeros((3, 3), dtype=complex)
+        J = np.hstack(pair_jacobian(ss_2x2, X, S))
+        assert conditioning._min_norm_solve(J, np.eye(6)) is None
+        LI = conditioning._gram(ss_2x2, X, S, None).kron_factor()
+        want = np.linalg.norm(np.linalg.pinv(J) @ LI, 2) / np.linalg.norm(np.vstack([X, S]))
+        with pytest.warns(UserWarning, match="rank deficient"):
+            got = pair_condition_number(ss_2x2, X, S)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(_oracle_pair_kappa(ss_2x2, X, S, frobenius_weights(ss_2x2).alphas),
+                                    rel=1e-12)
+
 
 class TestPairBackwardError:
     def test_exact_golden_pair(self, ss_2x2):
@@ -263,6 +317,17 @@ class TestSolventConditionNumber:
         assert num_solv == pytest.approx(num_pair, rel=1e-10)
         np.testing.assert_allclose(solvent_jacobian(quad_2x2, S), B_S, atol=1e-14)
         np.testing.assert_allclose(solvent_perturbation_matrix(quad_2x2, S, w), B_A, atol=1e-14)
+
+    def test_singular_jacobian_uses_pseudoinverse(self):
+        # P(lambda) = (lambda I - S)^2 has the Jacobian DS -> DS S - S DS at
+        # S, which is singular (it annihilates I and S)
+        S = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
+        P = MatrixPolynomial([S @ S, -2 * S, np.eye(2)])
+        B_A = solvent_perturbation_matrix(P, S)
+        want = np.linalg.norm(np.linalg.pinv(solvent_jacobian(P, S)) @ B_A, 2) / np.linalg.norm(S)
+        with pytest.warns(UserWarning, match="using a pseudoinverse"):
+            got = solvent_condition_number(P, S)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_weight_scaling(self, quad_2x2):
         S = np.diag([1.0, 2.0])

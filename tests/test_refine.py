@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from invpairs import (
     refine_pair,
     refine_solvent,
 )
+from invpairs.matpoly import companion_linearization
 from invpairs.refine import default_line_search_contour, solvent_step_poly
-from invpairs.conditioning import solvent_jacobian
+from invpairs import conditioning
+from invpairs.conditioning import pair_jacobian, solvent_jacobian
 
 from conftest import GOLDEN_S_SS, GOLDEN_X_SS, random_regular_polynomial
 
@@ -86,6 +90,40 @@ class TestNewtonCorrection:
         corr = newton_correction(ss_2x2, X, S)
         after = np.linalg.norm(eval_pair(ss_2x2, (X + corr.dX, S + corr.dS)), "fro")
         assert before / after >= 10.0
+
+    def test_rank_deficient_jacobian_falls_back_to_lstsq(self, ss_2x2):
+        # the rank-3 construction of the conditioning tests: S = 0 and A_1 X
+        # in the column space of A_0
+        X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], dtype=complex)
+        S = np.zeros((3, 3), dtype=complex)
+        J = np.hstack(pair_jacobian(ss_2x2, X, S))
+        rhs = -eval_pair(ss_2x2, (X, S)).ravel(order="F")
+        want, *_ = np.linalg.lstsq(J, rhs, rcond=None)
+        with pytest.warns(UserWarning, match="far from simple"):
+            corr = newton_correction(ss_2x2, X, S)
+        assert corr.jacobian_rank == 3
+        np.testing.assert_array_equal(corr.dX, want[:6].reshape((2, 3), order="F"))
+        np.testing.assert_array_equal(corr.dS, want[6:].reshape((3, 3), order="F"))
+
+    @pytest.mark.parametrize("n, ell, k", [(3, 2, 2), (4, 3, 5), (6, 2, 4), (8, 2, 3)])
+    def test_pivoted_qr_matches_lstsq_on_simple_pairs(self, n, ell, k):
+        # k eigenpairs of a random P (distinct eigenvalues) form a simple
+        # pair; the pivoted-QR solve must take it and give lstsq's answer
+        rng = np.random.default_rng(10 * n + k)
+        P = random_regular_polynomial(rng, n, ell)
+        vals, vecs = np.linalg.eig(companion_linearization(P))
+        X = vecs[:n, :k] + 1e-4 * _noise(rng, (n, k))
+        S = np.diag(vals[:k]) + 1e-4 * _noise(rng, (k, k))
+        J = np.hstack(pair_jacobian(P, X, S))
+        rhs = -eval_pair(P, (X, S)).ravel(order="F")
+        assert conditioning._min_norm_solve(J, rhs) is not None
+        want, *_ = np.linalg.lstsq(J, rhs, rcond=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr = newton_correction(P, X, S)
+        assert corr.jacobian_rank == n * k
+        got = np.concatenate([corr.dX.ravel(order="F"), corr.dS.ravel(order="F")])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def eval_derivative_at(P, lam):

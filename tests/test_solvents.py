@@ -20,7 +20,7 @@ from invpairs.solvents import (
     SingularLeadingBlockError,
     SingularTransformationError,
 )
-from invpairs import problems
+from invpairs import problems, solvents
 
 from conftest import QUAD_EIGENPAIRS, QUAD_SOLVENT_SET
 
@@ -186,6 +186,92 @@ class TestTriangularSolve:
             families[0].member()
         with pytest.raises(ValueError, match="free parameters"):
             families[1].member([])
+
+
+def _full_power_entry(coeff_entries, S, i, j):
+    """Entry (i, j) of sum_p T_p S^p through the full n-by-n affine power S^p.
+
+    The reference for the solver's recursion, which keeps only rows and
+    columns i..j of S^p and must form the same products in the same order.
+    """
+    size = len(S)
+    acc = solvents._Affine(coeff_entries[0][i][j])
+    power = [[solvents._Affine(1.0 if r == c else 0.0) for c in range(size)] for r in range(size)]
+    for p in range(1, len(coeff_entries)):
+        nxt = [[solvents._Affine(0.0) for _ in range(size)] for _ in range(size)]
+        for r in range(size):
+            for c in range(r, size):
+                total = solvents._Affine(0.0)
+                for q in range(r, c + 1):
+                    total = total + power[r][q] * S[q][c]
+                nxt[r][c] = total
+        power = nxt
+        for q in range(i, j + 1):
+            acc = acc + power[q][j] * coeff_entries[p][i][q]
+    return acc
+
+
+def _random_triangular(seed):
+    """Upper triangular T of size 2..5: monic diagonal polynomials with roots
+    from {1, -1, 2} and sparse integer strictly-upper entries, so that shared
+    roots give contradictory branches and affine families."""
+    rng = np.random.default_rng(seed)
+    n, ell = 2 + seed % 4, 1 + seed % 3
+    coeffs = [np.triu(rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.5), 1).astype(complex)
+              for _ in range(ell + 1)]
+    for i in range(n):
+        diag = np.polynomial.polynomial.polyfromroots(rng.choice([1.0, -1.0, 2.0], ell))
+        for p in range(ell + 1):
+            coeffs[p][i, i] = diag[p]
+    return MatrixPolynomial(coeffs)
+
+
+def _solve_outcome(T):
+    try:
+        return triangular_solvent_solve(T)
+    except NonAffineFamilyError as err:
+        return type(err)
+
+
+class TestTriangularPowerBlock:
+    """The affine power recursion restricted to rows and columns i..j gives
+    bitwise the families of the full-power recursion whenever the latter
+    returns.  The restricted products are a subset of the full ones, so the
+    solver raises NonAffineFamilyError only where the reference raises too;
+    the reference can also raise on a product of entries that no equation
+    reads, and then the solver's families must still be solvents."""
+
+    def _compare(self, T, monkeypatch):
+        got = _solve_outcome(T)
+        with monkeypatch.context() as m:
+            m.setattr(solvents, "_affine_poly_entry", _full_power_entry)
+            want = _solve_outcome(T)
+        if want is NonAffineFamilyError:
+            if got is not NonAffineFamilyError:
+                for fam in got:
+                    if fam.kind != "none":
+                        member = fam.member(np.ones(len(fam.directions)))
+                        assert np.linalg.norm(eval_matrix(T, member)) <= 1e-10
+            return want
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.kind, g.diagonal) == (w.kind, w.diagonal)
+            assert (g.base is None) == (w.base is None)
+            if w.base is not None:
+                assert np.array_equal(g.base, w.base)
+            assert len(g.directions) == len(w.directions)
+            assert all(np.array_equal(a, b) for a, b in zip(g.directions, w.directions))
+        return [w.kind for w in want]
+
+    def test_fixture(self, triangular_3x3, monkeypatch):
+        assert self._compare(triangular_3x3, monkeypatch) == ["none", "affine-family"]
+
+    def test_seeded_random(self, monkeypatch):
+        kinds = set()
+        for seed in range(16):
+            outcome = self._compare(_random_triangular(seed), monkeypatch)
+            kinds.update(outcome if isinstance(outcome, list) else ["raised"])
+        assert kinds == {"none", "unique", "affine-family", "raised"}
 
 
 class TestSolventFromTriangular:

@@ -2,8 +2,8 @@
 
     python3 tools/ab.py --workload extract --parent HEAD~1 --seeds 1-10 --confirm 11
 
-The parent revision is checked out with `git worktree add --detach` into a
-temporary directory, which is removed afterwards.  For every seed the
+The parent revision is exported with `git archive` into a temporary
+directory, which is removed afterwards.  For every seed the
 parent and the child (this checkout) each run
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
@@ -127,14 +127,12 @@ def main(argv=None):
     dirty = bool(_git("status", "--porcelain", "--", "src", "bench"))
 
     with tempfile.TemporaryDirectory(prefix="invpairs-ab-") as tmp:
-        worktree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(worktree), shas["parent"])
-        try:
-            trees = {"parent": worktree, "child": ROOT}
-            runs, env = run_pairs(trees, args.workload, args.seeds, seconds)
-            confirm, _ = run_pairs(trees, args.workload, args.confirm, seconds, start=len(runs))
-        finally:
-            _git("worktree", "remove", "--force", str(worktree))
+        archive = subprocess.run(["git", "archive", shas["parent"]], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        trees = {"parent": Path(tmp), "child": ROOT}
+        runs, env = run_pairs(trees, args.workload, args.seeds, seconds)
+        confirm, _ = run_pairs(trees, args.workload, args.confirm, seconds, start=len(runs))
 
     doc = {
         "workload": args.workload,
