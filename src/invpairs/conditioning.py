@@ -124,16 +124,22 @@ def pair_jacobian(P, X, S):
     return _kron_sum(pows, np.asarray(P.coeffs)), _ds_block(P, X, pows)
 
 
+def _ds_factors(coeffs, X, S):
+    """D_m = sum_i A_{m+1+i} X S^i for m = 0..ell-1 from the stack A_0..A_ell,
+    by the Horner step D_m = A_{m+1} X + D_{m+1} S."""
+    D = np.asarray(coeffs[1:]) @ X
+    for m in range(len(D) - 2, -1, -1):
+        D[m] += D[m + 1] @ S
+    return D
+
+
 def _ds_block(P, X, pows):
     """B_S = sum_j sum_{i<j} (S^{j-i-1})^T kron (A_j X S^i), given pows = S^0..S^ell.
 
-    Grouped by m = j - i - 1, B_S = sum_m (S^m)^T kron D_m with
-    D_m = sum_i A_{m+1+i} X S^i, which obeys D_m = A_{m+1} X + D_{m+1} S.
+    Grouped by m = j - i - 1, B_S = sum_m (S^m)^T kron D_m with the
+    _ds_factors D_m.
     """
-    D = np.asarray(P.coeffs[1:]) @ X
-    for m in range(P.degree - 2, -1, -1):
-        D[m] += D[m + 1] @ pows[1]
-    return _kron_sum(pows[:-1], D)
+    return _kron_sum(pows[:-1], _ds_factors(P.coeffs, X, pows[1]))
 
 
 def perturbation_matrix(P, X, S, w=None):
@@ -173,13 +179,18 @@ class _Gram(NamedTuple):
         return np.kron(self.Vh.T * self.s, np.eye(self.X.shape[0]))
 
 
-def _gram(P, X, S, w):
+def _checked_pair(P, X, S):
+    """(X, S) as complex arrays; ValueError unless X is n-by-k (k >= 1) and S k-by-k."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"X must be an n-by-k matrix with k >= 1, got shape {X.shape}")
     if X.shape[0] != P.n:
         raise ValueError(f"X has {X.shape[0]} rows, polynomial acts on C^{P.n}")
-    S = _as_square_complex(S, X.shape[1], what="S")
+    return X, _as_square_complex(S, X.shape[1], what="S")
+
+
+def _gram(P, X, S, w):
+    X, S = _checked_pair(P, X, S)
     w = _weights_for(P, w)
     pows = _powers(S, P.degree)
     terms = [(i, a, X @ pows[i]) for i, a in enumerate(w.alphas) if a != 0.0]

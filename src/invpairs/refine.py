@@ -2,14 +2,20 @@
 
 Each iteration solves the correction equation
 
-    DP_(X,S)(DX, DS) = -P(X, S)
+    DP_(X,S)(DX, DS) = -P(X, S),
 
-in vectorized form through the Kronecker blocks [B_X B_S], assembled
-blockwise (minimum-norm least squares: the equation has nk rows and nk + k^2
-unknowns and carries no normalization of its own).  One pivoted-QR
-minimum-norm solve serves every Jacobian of full row rank; below that rank
-the SVD-based lstsq decides the rank and warns.  The iteration then picks
-the step length t in [0, 2] minimizing the squared residual along the step,
+which has nk rows and nk + k^2 unknowns, together with the k^2 rows of the
+block-Newton normalization W^H DV_ell(DX, DS) = 0, W an orthonormal basis of
+V_ell(X, S) = [X; XS; ...; XS^(ell-1)] at the iterate (Kressner 2009).  In
+the Schur basis of S the bordered system splits into k column solves of
+size n + k, at O(k (n+k)^3) instead of O((nk)^3).  newton_correction keeps
+the minimum-norm solution of the unnormalized equation through the
+Kronecker blocks [B_X B_S], assembled blockwise: one pivoted-QR
+minimum-norm solve for every Jacobian of full row rank, and below that rank
+the SVD-based lstsq, which decides the rank and warns.  It is the reference
+for the structured step and the fallback where a column system is
+singular.  The iteration then picks the step length t in [0, 2] minimizing
+the squared residual along the step,
 
     p(t) = ||P(X + t dX, S + t dS)||_F^2.
 
@@ -31,11 +37,13 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial, polynomial
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, schur
 
-from .conditioning import _min_norm_solve, pair_jacobian, solvent_jacobian
+from .conditioning import (
+    _checked_pair, _ds_factors, _min_norm_solve, _powers, pair_jacobian, solvent_jacobian,
+)
 from .contour import Contour
-from .matpoly import InvariantPair, eval_matrix, eval_pair, eval_scalar
+from .matpoly import InvariantPair, _as_square_complex, eval_matrix, eval_pair, eval_scalar
 from .solvents import Solvent
 
 __all__ = [
@@ -113,18 +121,20 @@ class NewtonCorrection(NamedTuple):
     jacobian_rank: int
 
 
-def _step_expansion(P, X, S, dX, dS):
-    """Coefficients C_0..C_{ell+1} of P(X + t dX, S + t dS) = sum_d t^d C_d.
+def _step_expansion(coeffs, X, S, dX, dS):
+    """Coefficients C_0..C_{ell+1} of sum_j A_j (X + t dX)(S + t dS)^j = sum_d t^d C_d.
 
-    Y_j(t) = (X + t dX)(S + t dS)^j is carried as its stack of coefficients
-    and advanced by Y_{j+1} = Y_j S + t Y_j dS; then C = sum_j A_j Y_j.
-    Returns an (ell + 2, n, k) array.
+    coeffs is the stack A_0..A_ell (P.coeffs, or the bordered coefficients
+    of the Schur-structured correction).  Y_j(t) = (X + t dX)(S + t dS)^j
+    is carried as its stack of coefficients and advanced by
+    Y_{j+1} = Y_j S + t Y_j dS; then C = sum_j A_j Y_j.  Returns an
+    (ell + 2, rows of A_j, k) array.
     """
     X, S, dX, dS = (np.asarray(a, dtype=complex) for a in (X, S, dX, dS))
-    Y = np.zeros((P.degree + 2,) + X.shape, dtype=complex)
+    Y = np.zeros((len(coeffs) + 1,) + X.shape, dtype=complex)
     Y[0], Y[1] = X, dX
-    C = P.coeffs[0] @ Y
-    for A in P.coeffs[1:]:
+    C = coeffs[0] @ Y
+    for A in coeffs[1:]:
         shifted = Y[:-1] @ dS
         Y = Y @ S
         Y[1:] += shifted
@@ -138,7 +148,7 @@ def frechet_apply(P, X, S, dX, dS):
     This is the t^1 coefficient of P(X + t dX, S + t dS), i.e.
     sum_j A_j dX S^j + sum_j A_j X (sum_i S^i dS S^{j-i-1}).
     """
-    return _step_expansion(P, X, S, dX, dS)[1]
+    return _step_expansion(P.coeffs, X, S, dX, dS)[1]
 
 
 def newton_correction(P, X, S):
@@ -146,7 +156,10 @@ def newton_correction(P, X, S):
 
     Returns the correction along with the residual of the linear solve and
     the numerical rank of [B_X B_S]; a rank below nk (pair far from simple)
-    warns but still returns the pseudoinverse solution.
+    warns but still returns the pseudoinverse solution.  refine_pair takes
+    its steps from the normalized Schur-structured correction and falls back
+    to this one where a column system of that correction is singular; it
+    also serves as the reference the structured correction is tested against.
     """
     X = np.asarray(X, dtype=complex)
     S = np.asarray(S, dtype=complex)
@@ -165,6 +178,67 @@ def newton_correction(P, X, S):
     dX = sol[: n * k].reshape((n, k), order="F")
     dS = sol[n * k:].reshape((k, k), order="F")
     return NewtonCorrection(dX, dS, float(np.linalg.norm(J @ sol - rhs)), int(rank))
+
+
+def _schur_correction(P, X, S):
+    """Newton correction normalized by W^H DV_ell(dX, dS) = 0, or None if singular.
+
+    In the Schur basis S = Q T Q^H, X' = X Q, W is an orthonormal basis of
+    V_ell(X', T) = [X'; X'T; ...; X'T^(ell-1)], and the bordered coefficients
+    Ahat_j = [A_j; W_j^H] (W_ell = 0) turn the normalized equation into
+    DPhat_(X', T)(dX', dS') = [-P(X, S) Q; 0].  T is upper triangular, so
+    column c of that equation reads
+
+        [Fhat(t_cc) | sum_m t_cc^m D_m] [dX'_c; dS'_c] = rhs_c - (earlier columns),
+
+    with Fhat(mu) = sum_j Ahat_j mu^j and the _ds_factors D_m of (Ahat, X', T):
+    k bordered (n+k)-by-(n+k) solves.  Each solved column's Frechet term, the
+    t^1 coefficient of the bordered step expansion, is subtracted from the
+    right-hand sides of the later columns.
+    """
+    n, k = X.shape
+    ell = P.degree
+    T, Q = schur(S, output="complex")
+    Xq = X @ Q
+    V = Xq @ _powers(T, ell - 1)
+    W = np.linalg.qr(V.reshape(ell * n, k))[0].reshape(ell, n, k)
+    bordered = np.zeros((ell + 1, n + k, n), dtype=complex)
+    bordered[:, :n] = P.coeffs
+    bordered[:ell, n:] = W.conj().transpose(0, 2, 1)
+    # column matrix K(mu) = sum_j mu^j [Ahat_j | D_j], with D_ell = 0
+    E = np.zeros((ell + 1, n + k, n + k), dtype=complex)
+    E[:, :, :n] = bordered
+    E[:ell, :, n:] = _ds_factors(bordered, Xq, T)
+    rhs = np.zeros((n + k, k), dtype=complex)
+    # P(X, S) Q, not P(X', T): T equals Q^H S Q only to roundoff in S, which
+    # near a pair is large against the residual
+    rhs[:n] = -eval_pair(P, (X, S)) @ Q
+    dXq = np.zeros((n, k), dtype=complex)
+    dT = np.zeros((k, k), dtype=complex)
+    for c in range(k):
+        K = E[ell]
+        for Ej in E[ell - 1::-1]:
+            K = K * T[c, c] + Ej
+        try:
+            z = np.linalg.solve(K, rhs[:, c])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(z).all():
+            return None
+        dXq[:, c], dT[:, c] = z[:n], z[n:]
+        if c + 1 < k:
+            ex = np.zeros((n, k), dtype=complex)
+            es = np.zeros((k, k), dtype=complex)
+            ex[:, c], es[:, c] = z[:n], z[n:]
+            rhs[:, c + 1:] -= _step_expansion(bordered, Xq, T, ex, es)[1][:, c + 1:]
+    Qh = Q.conj().T
+    return dXq @ Qh, Q @ dT @ Qh
+
+
+def _pair_correction(P, X, S):
+    """The Schur-structured step, or newton_correction's where it is singular."""
+    step = _schur_correction(P, X, S)
+    return step if step is not None else newton_correction(P, X, S)[:2]
 
 
 def default_line_search_contour(S, nodes=128):
@@ -210,7 +284,7 @@ def line_search_poly(P, X, S, dX, dS, contour=None):
     is exact for degree <= 2 and serves as the reference there.
     """
     if contour is None:
-        C = _step_expansion(P, X, S, dX, dS)
+        C = _step_expansion(P.coeffs, X, S, dX, dS)
         F = C.reshape(len(C), -1)
         gram = (F.conj() @ F.T).real
         coeffs = np.zeros(2 * len(C) - 1)
@@ -299,16 +373,25 @@ def _newton(P, X, S, correction, scale, tol, maxit, line_search):
     return X, S, report
 
 
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("starting point has non-finite entries")
+
+
 def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     """Newton iteration on P(X, S) = 0 with optional exact line search.
 
-    Stops when ||P(X_k, S_k)||_F / ||X_k||_F < tol; hitting maxit leaves
-    converged False in the report.  With line_search=False every step length
-    is exactly 1 (classical Newton).
+    Each step is the Schur-structured normalized correction; a step whose
+    column system is singular comes from newton_correction instead, with its
+    rank warning.  Stops when ||P(X_k, S_k)||_F / ||X_k||_F < tol; hitting
+    maxit leaves converged False in the report.  With line_search=False
+    every step length is exactly 1 (classical Newton).  Raises ValueError
+    unless X0 is n-by-k, S0 is k-by-k and both are finite.
     """
+    X0, S0 = _checked_pair(P, X0, S0)
+    _check_finite(X0, S0)
     X, S, report = _newton(
-        P, np.array(X0, dtype=complex), np.array(S0, dtype=complex),
-        lambda X, S: newton_correction(P, X, S)[:2], lambda X, S: X,
+        P, X0, S0, lambda X, S: _pair_correction(P, X, S), lambda X, S: X,
         tol, maxit, line_search,
     )
     return InvariantPair(X, S), report
@@ -319,9 +402,11 @@ def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
 
     The correction solves the square solvent equation, falling back to a
     pseudoinverse (with a warning) where its Jacobian is singular.  Stops
-    when ||P(S_k)||_F / ||S_k||_F < tol.
+    when ||P(S_k)||_F / ||S_k||_F < tol.  Raises ValueError unless S0 is a
+    finite n-by-n matrix.
     """
-    S0 = np.array(S0, dtype=complex)
+    S0 = _as_square_complex(S0, P.n, what="S")
+    _check_finite(S0)
     dX = np.zeros_like(S0)
 
     def correction(X, S):

@@ -20,7 +20,7 @@ from invpairs import (
 )
 from invpairs.matpoly import companion_linearization
 from invpairs.refine import default_line_search_contour, solvent_step_poly
-from invpairs import conditioning
+from invpairs import conditioning, refine
 from invpairs.conditioning import pair_jacobian, solvent_jacobian
 
 from conftest import GOLDEN_S_SS, GOLDEN_X_SS, random_regular_polynomial
@@ -124,6 +124,119 @@ class TestNewtonCorrection:
         assert corr.jacobian_rank == n * k
         got = np.concatenate([corr.dX.ravel(order="F"), corr.dS.ravel(order="F")])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _bordered_reference(P, X, S):
+    """Dense Kronecker solve of [J; W^H DV_ell] [vec dX; vec dS] = [-vec P(X, S); 0].
+
+    W is an orthonormal basis of V_ell(X, S) = [X; XS; ...; XS^(ell-1)];
+    both row blocks are sum_j (S^j)^T kron C_j and
+    sum_j sum_{i<j} (S^(j-i-1))^T kron (C_j X S^i), with C_j = A_j or W_j^H.
+    """
+    n, k = X.shape
+    ell = P.degree
+    power = [np.linalg.matrix_power(S, j) for j in range(ell + 1)]
+    W = np.linalg.qr(np.vstack([X @ power[i] for i in range(ell)]))[0]
+    rows = []
+    for coeffs in (P.coeffs, [W[i * n:(i + 1) * n].conj().T for i in range(ell)]):
+        B_X = np.zeros((len(coeffs[0]) * k, n * k), dtype=complex)
+        B_S = np.zeros((len(coeffs[0]) * k, k * k), dtype=complex)
+        for j, C in enumerate(coeffs):
+            B_X += np.kron(power[j].T, C)
+            for i in range(j):
+                B_S += np.kron(power[j - i - 1].T, C @ X @ power[i])
+        rows.append(np.hstack([B_X, B_S]))
+    rhs = np.concatenate([-eval_pair(P, (X, S)).ravel(order="F"), np.zeros(k * k)])
+    sol = np.linalg.solve(np.vstack(rows), rhs)
+    return sol[: n * k].reshape((n, k), order="F"), sol[n * k:].reshape((k, k), order="F")
+
+
+def _near_simple_pair(seed, n, ell, k):
+    """k eigenpairs (distinct eigenvalues) of a random P, perturbed by 1e-4."""
+    rng = np.random.default_rng(seed)
+    P = random_regular_polynomial(rng, n, ell)
+    vals, vecs = np.linalg.eig(companion_linearization(P))
+    X = vecs[:n, :k] + 1e-4 * _noise(rng, (n, k))
+    S = np.diag(vals[:k]) + 1e-4 * _noise(rng, (k, k))
+    return P, X, S
+
+
+def _repeated_eigenvalue_pair():
+    """(I + noise, S1) for P(lambda) = (lambda I - S2)(lambda I - S1), where S1
+    has the Jordan block [[2, 1], [0, 2]]; (I, S1) is simple since S2's
+    spectrum stays away from S1's."""
+    rng = np.random.default_rng(70)
+    S1 = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]], dtype=complex)
+    S2 = np.diag([5.0, -4.0, 3j]) + 0.1 * _noise(rng, (3, 3))
+    from invpairs import MatrixPolynomial
+
+    P = MatrixPolynomial([S2 @ S1, -(S1 + S2), np.eye(3)])
+    return P, np.eye(3) + 1e-4 * _noise(rng, (3, 3)), S1
+
+
+class TestSchurCorrection:
+    @pytest.mark.parametrize("n, ell, k", [
+        (2, 1, 1), (3, 1, 2), (8, 1, 5), (5, 2, 3), (8, 3, 2), (7, 4, 4),
+        (2, 2, 3), (2, 3, 4), (3, 2, 5), (4, 4, 6),
+    ])
+    def test_matches_bordered_kronecker_reference(self, n, ell, k):
+        P, X, S = _near_simple_pair(100 * n + 10 * ell + k, n, ell, k)
+        self._check(P, X, S)
+
+    def test_repeated_eigenvalue_of_S(self):
+        P, X, S = _repeated_eigenvalue_pair()
+        assert np.count_nonzero(np.isclose(np.linalg.eigvals(S), 2.0)) == 2
+        self._check(P, X, S)
+
+    @staticmethod
+    def _check(P, X, S):
+        want_dX, want_dS = _bordered_reference(P, X, S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dX, dS = refine._schur_correction(P, X, S)
+            pair, _ = refine_pair(P, X, S, tol=0.0, maxit=1, line_search=False)
+        want = np.concatenate([want_dX.ravel(), want_dS.ravel()])
+        got = np.concatenate([dX.ravel(), dS.ravel()])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # the step solves the correction equation DP(dX, dS) = -P(X, S)
+        residual = eval_pair(P, (X, S))
+        assert (np.linalg.norm(frechet_apply(P, X, S, dX, dS) + residual)
+                <= 1e-12 * np.linalg.norm(residual))
+        # refine_pair takes this step
+        np.testing.assert_allclose(pair.X, X + dX, rtol=0, atol=1e-14 * np.abs(X).max())
+        np.testing.assert_allclose(pair.S, S + dS, rtol=0, atol=1e-14 * np.abs(S).max())
+
+
+class TestPairCorrectionFallback:
+    # P(lambda) = (lambda I - S)^2 at the non-simple pair (I, S): the column
+    # system at t_cc = 1 is singular
+    S = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
+
+    def _poly(self):
+        from invpairs import MatrixPolynomial
+
+        return MatrixPolynomial([self.S @ self.S, -2 * self.S, np.eye(2)])
+
+    def test_singular_column_system_uses_newton_correction(self):
+        P = self._poly()
+        X = np.eye(2, dtype=complex)
+        assert refine._schur_correction(P, X, self.S) is None
+        with pytest.warns(UserWarning, match="far from simple"):
+            want = newton_correction(P, X, self.S)
+        with pytest.warns(UserWarning, match="far from simple"):
+            pair, report = refine_pair(P, X, self.S, tol=0.0, maxit=1)
+        assert report.iterations == 1
+        np.testing.assert_array_equal(pair.X, X + want.dX)
+        np.testing.assert_array_equal(pair.S, self.S + want.dS)
+
+    def test_non_finite_column_solution_uses_newton_correction(self, monkeypatch, ss_2x2):
+        X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
+        want = newton_correction(ss_2x2, X, S)
+        monkeypatch.setattr(np.linalg, "solve", lambda K, b: np.full(b.shape, np.inf))
+        assert refine._schur_correction(ss_2x2, X, S) is None
+        pair, _ = refine_pair(ss_2x2, X, S, tol=0.0, maxit=1, line_search=False)
+        np.testing.assert_array_equal(pair.X, X + want.dX)
+        np.testing.assert_array_equal(pair.S, S + want.dS)
 
 
 def eval_derivative_at(P, lam):
@@ -322,6 +435,19 @@ class TestRefinePair:
         assert report.converged
 
 
+    @pytest.mark.parametrize("X0, S0, match", [
+        (np.ones(2), np.eye(3), "n-by-k"),
+        (GOLDEN_X_SS, np.eye(2), "S must be 3x3"),
+        (GOLDEN_X_SS, np.ones((3, 2)), "S must be square"),
+        (np.ones((3, 3)), GOLDEN_S_SS, "3 rows"),
+        (GOLDEN_X_SS, np.where(np.eye(3), np.nan, GOLDEN_S_SS), "non-finite"),
+        (np.where(GOLDEN_X_SS == 0, np.inf, GOLDEN_X_SS), GOLDEN_S_SS, "non-finite"),
+    ])
+    def test_rejects_malformed_start(self, ss_2x2, X0, S0, match):
+        with pytest.raises(ValueError, match=match):
+            refine_pair(ss_2x2, X0, S0)
+
+
 def extract_invariant_pair_for(P):
     """A small exact-ish pair of P around its eigenvalue nearest 0."""
     from invpairs import companion_linearization
@@ -358,3 +484,12 @@ class TestRefineSolvent:
             assert abs(poly(t) - direct) <= 1e-10 * max(1.0, direct)
         # quartic: the coefficients above t^4 vanish
         assert np.all(poly.coefficients()[5:] == 0.0)
+
+    @pytest.mark.parametrize("S0, match", [
+        (np.ones(2), "S must be square"),
+        (np.eye(3), "S must be 2x2"),
+        (np.array([[1.0, np.nan], [0.0, 2.0]]), "non-finite"),
+    ])
+    def test_rejects_malformed_start(self, quad_2x2, S0, match):
+        with pytest.raises(ValueError, match=match):
+            refine_solvent(quad_2x2, S0)
