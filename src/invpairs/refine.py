@@ -235,12 +235,6 @@ def _schur_correction(P, X, S):
     return dXq @ Qh, Q @ dT @ Qh
 
 
-def _pair_correction(P, X, S):
-    """The Schur-structured step, or newton_correction's where it is singular."""
-    step = _schur_correction(P, X, S)
-    return step if step is not None else newton_correction(P, X, S)[:2]
-
-
 def default_line_search_contour(S, nodes=128):
     """Circle centered at the mean of eig(S) with 1.5x the spectral spread.
 
@@ -391,8 +385,8 @@ def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     X0, S0 = _checked_pair(P, X0, S0)
     _check_finite(X0, S0)
     X, S, report = _newton(
-        P, X0, S0, lambda X, S: _pair_correction(P, X, S), lambda X, S: X,
-        tol, maxit, line_search,
+        P, X0, S0, lambda X, S: _schur_correction(P, X, S) or newton_correction(P, X, S)[:2],
+        lambda X, S: X, tol, maxit, line_search,
     )
     return InvariantPair(X, S), report
 

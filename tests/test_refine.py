@@ -5,6 +5,7 @@ import pytest
 
 from invpairs import (
     Contour,
+    MatrixPolynomial,
     RefinementReport,
     StepPolynomial,
     eval_matrix,
@@ -168,8 +169,6 @@ def _repeated_eigenvalue_pair():
     rng = np.random.default_rng(70)
     S1 = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]], dtype=complex)
     S2 = np.diag([5.0, -4.0, 3j]) + 0.1 * _noise(rng, (3, 3))
-    from invpairs import MatrixPolynomial
-
     P = MatrixPolynomial([S2 @ S1, -(S1 + S2), np.eye(3)])
     return P, np.eye(3) + 1e-4 * _noise(rng, (3, 3)), S1
 
@@ -208,26 +207,20 @@ class TestSchurCorrection:
 
 
 class TestPairCorrectionFallback:
-    # P(lambda) = (lambda I - S)^2 at the non-simple pair (I, S): the column
-    # system at t_cc = 1 is singular
-    S = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
-
-    def _poly(self):
-        from invpairs import MatrixPolynomial
-
-        return MatrixPolynomial([self.S @ self.S, -2 * self.S, np.eye(2)])
-
     def test_singular_column_system_uses_newton_correction(self):
-        P = self._poly()
+        # P(lambda) = (lambda I - S)^2 at the non-simple pair (I, S): the
+        # column system at t_cc = 1 is singular
+        S = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
+        P = MatrixPolynomial([S @ S, -2 * S, np.eye(2)])
         X = np.eye(2, dtype=complex)
-        assert refine._schur_correction(P, X, self.S) is None
+        assert refine._schur_correction(P, X, S) is None
         with pytest.warns(UserWarning, match="far from simple"):
-            want = newton_correction(P, X, self.S)
+            want = newton_correction(P, X, S)
         with pytest.warns(UserWarning, match="far from simple"):
-            pair, report = refine_pair(P, X, self.S, tol=0.0, maxit=1)
+            pair, report = refine_pair(P, X, S, tol=0.0, maxit=1)
         assert report.iterations == 1
         np.testing.assert_array_equal(pair.X, X + want.dX)
-        np.testing.assert_array_equal(pair.S, self.S + want.dS)
+        np.testing.assert_array_equal(pair.S, S + want.dS)
 
     def test_non_finite_column_solution_uses_newton_correction(self, monkeypatch, ss_2x2):
         X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
