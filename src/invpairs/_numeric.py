@@ -13,6 +13,13 @@ def rank_tolerance(a, svals):
     return max(a.shape) * EPS * float(svals[0])
 
 
+def require_finite(a, what):
+    """`a` itself; ValueError naming `what` when it has a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
 def numerical_rank(a):
     """Number of singular values of `a` above the repo-wide cutoff.
 

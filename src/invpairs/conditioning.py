@@ -13,10 +13,12 @@ with the Kronecker blocks
 
 so the condition number is ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F.  B_X and
 B_S are assembled blockwise from the stacked powers S^j, one matrix product
-each, with no Kronecker temporaries; J = [B_X B_S] enters through one
-pivoted-QR minimum-norm solve, and an SVD runs only when that solve finds J
-of rank below nk.  The same
-B_A matrix, seen as the map from scaled coefficient perturbations to the
+each, with no Kronecker temporaries.  When J = [B_X B_S] has full row rank,
+J^+ = Q R^{-H} for the thin QR factorization J^H = Q R, and Q has
+orthonormal columns, so ||J^+ B_A||_2 = ||R^{-H} B_A||_2: J enters through
+one QR factorization (R only) and one triangular solve.  An SVD of J runs
+only when R is too ill conditioned for that (reciprocal condition estimate
+at most sqrt(eps)).  The same B_A matrix, seen as the map from scaled coefficient perturbations to the
 residual, yields the backward error as a minimum-norm solve, sandwiched by
 the closed-form bounds with ||X S^i||_F and sigma_min(X S^i).  Solvents are
 the X = I, DX = 0 specialization.
@@ -45,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from .matpoly import _as_square_complex, eval_matrix, eval_pair
-from ._numeric import EPS, numerical_rank, rank_tolerance
+from ._numeric import EPS, numerical_rank, rank_tolerance, require_finite
 
 __all__ = [
     "WeightVector",
@@ -75,6 +77,8 @@ class WeightVector:
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
+        if not all(math.isfinite(a) for a in alphas):
+            raise ValueError("weights must be finite")
         if any(a < 0 for a in alphas):
             raise ValueError("weights must be nonnegative")
         if not any(a > 0 for a in alphas):
@@ -180,13 +184,15 @@ class _Gram(NamedTuple):
 
 
 def _checked_pair(P, X, S):
-    """(X, S) as complex arrays; ValueError unless X is n-by-k (k >= 1) and S k-by-k."""
+    """(X, S) as complex arrays; ValueError unless X is n-by-k (k >= 1), S is
+    k-by-k and both are finite."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"X must be an n-by-k matrix with k >= 1, got shape {X.shape}")
     if X.shape[0] != P.n:
         raise ValueError(f"X has {X.shape[0]} rows, polynomial acts on C^{P.n}")
-    return X, _as_square_complex(S, X.shape[1], what="S")
+    S = _as_square_complex(S, X.shape[1], what="S")
+    return require_finite(X, "X"), require_finite(S, "S")
 
 
 def _gram(P, X, S, w):
@@ -210,13 +216,30 @@ def _min_norm_solve(J, B):
     return Z if rank == J.shape[0] else None
 
 
+def _r_factor_solve(J, B):
+    """R^{-H} B for the thin QR factorization J^H = Q R, or None unless J has
+    full row rank by a margin.
+
+    For such J, J^+ = Q R^{-H} and ||J^+ B||_2 = ||R^{-H} B||_2, so Q is never
+    formed.  LAPACK's trcon estimates the reciprocal condition number of the
+    triangular R; at or below sqrt(eps), the cutoff of _min_norm_solve, the
+    caller takes its SVD path instead.
+    """
+    R = scipy.linalg.qr(J.conj().T, mode="r", overwrite_a=True, check_finite=False)[0][: J.shape[0]]
+    trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (R,))
+    rcond, info = trcon(R)
+    if info != 0 or not rcond > math.sqrt(EPS):
+        return None
+    return scipy.linalg.solve_triangular(R, B, trans="C", check_finite=False)
+
+
 def pair_condition_number(P, X, S, w=None):
     """Normwise condition number of a simple invariant pair.
 
     kappa = ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F, evaluated as
-    ||[B_X B_S]^+ (L kron I)||_2 from one pivoted-QR minimum-norm solve.
-    When that solve does not find full row rank nk, one SVD of [B_X B_S]
-    gives the rank test and the pseudoinverse, with numpy's pinv cutoff.  A
+    ||R^{-H} (L kron I)||_2 with R the triangular factor of [B_X B_S]^H.
+    When R is too ill conditioned for that, one SVD of [B_X B_S] gives the
+    rank test and the pseudoinverse, with numpy's pinv cutoff.  A
     rank-deficient Jacobian (the pair is far from simple) only warns; the
     pseudoinverse is still well defined.
     """
@@ -224,7 +247,7 @@ def pair_condition_number(P, X, S, w=None):
     B_X, B_S = pair_jacobian(P, g.X, g.S)
     J = np.hstack([B_X, B_S])
     LI = g.kron_factor()
-    M = _min_norm_solve(J, LI)
+    M = _r_factor_solve(J, LI)
     if M is None:
         U, sj, _ = np.linalg.svd(J, full_matrices=False)
         if np.count_nonzero(sj > rank_tolerance(J, sj)) < J.shape[0]:
@@ -299,15 +322,19 @@ def solvent_perturbation_matrix(P, S, w=None):
 def solvent_condition_number(P, S, w=None):
     """kappa(S) = ||Bhat_S^{-1} Bhat_A||_2 / ||S||_F for a matrix solvent.
 
-    Bhat_A enters as L kron I, as for pairs.
+    Bhat_A enters as L kron I and Bhat_S through its triangular factor, as
+    for pairs.  When that factor is too ill conditioned, an SVD rank test
+    picks a dense solve or, for a singular Bhat_S, a warning and the
+    pseudoinverse.
     """
     g = _gram(P, np.eye(P.n, dtype=complex), S, w)
     B_S = solvent_jacobian(P, g.S)
     LI = g.kron_factor()
-    if numerical_rank(B_S) < B_S.shape[0]:
+    M = _r_factor_solve(B_S, LI)
+    if M is None and numerical_rank(B_S) < B_S.shape[0]:
         warnings.warn("solvent Jacobian is singular; using a pseudoinverse", stacklevel=2)
         M = np.linalg.pinv(B_S) @ LI
-    else:
+    elif M is None:
         M = np.linalg.solve(B_S, LI)
     return float(np.linalg.norm(M, 2) / np.linalg.norm(g.S, "fro"))
 

@@ -45,6 +45,7 @@ from .conditioning import (
 from .contour import Contour
 from .matpoly import InvariantPair, _as_square_complex, eval_matrix, eval_pair, eval_scalar
 from .solvents import Solvent
+from ._numeric import require_finite
 
 __all__ = [
     "RefinementReport",
@@ -367,11 +368,6 @@ def _newton(P, X, S, correction, scale, tol, maxit, line_search):
     return X, S, report
 
 
-def _check_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("starting point has non-finite entries")
-
-
 def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     """Newton iteration on P(X, S) = 0 with optional exact line search.
 
@@ -383,7 +379,6 @@ def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     unless X0 is n-by-k, S0 is k-by-k and both are finite.
     """
     X0, S0 = _checked_pair(P, X0, S0)
-    _check_finite(X0, S0)
     X, S, report = _newton(
         P, X0, S0, lambda X, S: _schur_correction(P, X, S) or newton_correction(P, X, S)[:2],
         lambda X, S: X, tol, maxit, line_search,
@@ -399,8 +394,7 @@ def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
     when ||P(S_k)||_F / ||S_k||_F < tol.  Raises ValueError unless S0 is a
     finite n-by-n matrix.
     """
-    S0 = _as_square_complex(S0, P.n, what="S")
-    _check_finite(S0)
+    S0 = require_finite(_as_square_complex(S0, P.n, what="S"), "S")
     dX = np.zeros_like(S0)
 
     def correction(X, S):

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .matpoly import MatrixPolynomial, companion_linearization, eval_matrix, eval_scalar
-from ._numeric import EPS, cluster_eigenvalues, numerical_rank
+from ._numeric import EPS, cluster_eigenvalues, numerical_rank, require_finite
 
 __all__ = [
     "Solvent",
@@ -156,9 +156,9 @@ def verify_solvent(P, S, tol=1e-8):
     Reports ||P(S)||_F / ||S||_F (guarding the S = 0 case with a unit
     denominator) and, for every eigenpair (mu, w) of S, the residual
     ||P(mu) w||_2 / ||w||_2; a certified solvent keeps all of them within
-    tol.
+    tol.  Raises ValueError when S has a NaN or infinite entry.
     """
-    S = np.asarray(S, dtype=complex)
+    S = require_finite(np.asarray(S, dtype=complex), "S")
     norm_S = np.linalg.norm(S, "fro")
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro") / (norm_S if norm_S > 0 else 1.0))
     vals, vecs = np.linalg.eig(S)
@@ -219,14 +219,17 @@ class _Affine:
 def _affine_poly_entry(coeff_entries, S, i, j):
     """Entry (i, j) of sum_p T_p S^p for an affine upper triangular S."""
     # power = S^p restricted to rows and columns i..j (all that entry (i, j)
-    # reads), power[r - i][c - i] = (S^p)[r][c]; acc takes row i of T_p
+    # reads), power[r - i][c - i] = (S^p)[r][c] for r <= c, the only entries
+    # read; acc takes row i of T_p.  The highest power is read only in its
+    # last column, so only that column is built.
     size = j - i + 1
     acc = _Affine(coeff_entries[0][i][j])
     power = [[_Affine(1.0 if r == c else 0.0) for c in range(size)] for r in range(size)]
     for p in range(1, len(coeff_entries)):
-        nxt = [[_Affine(0.0) for _ in range(size)] for _ in range(size)]
+        first = size - 1 if p == len(coeff_entries) - 1 else 0
+        nxt = [[None] * size for _ in range(size)]
         for r in range(size):
-            for c in range(r, size):
+            for c in range(max(r, first), size):
                 total = _Affine(0.0)
                 for q in range(r, c + 1):
                     total = total + power[r][q] * S[i + q][i + c]

@@ -1,6 +1,8 @@
-"""The summarising step of the A/B runner (tools/ab.py), on made-up runs."""
+"""The A/B runner (tools/ab.py): its summarising step on made-up runs, and how
+it exports the two sides."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,54 @@ def test_machine_reads_the_run_environment():
            "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
     info = ab.machine(env)
     assert (info["cores"], info["blas_threads"], info["numpy"], info["scipy"]) == (2, [1], "2.4.6", "1.17.1")
+
+
+def _fake_git(status):
+    def git(*args):
+        if args[0] == "status":
+            return status
+        return {"HEAD": "c" * 40}.get(args[-1], "p" * 40)
+    return git
+
+
+def test_refuses_to_run_with_uncommitted_source(monkeypatch):
+    ab = _load_ab()
+    monkeypatch.setattr(ab, "_git", _fake_git(" M src/invpairs/conditioning.py"))
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("nothing may be exported or run")
+
+    monkeypatch.setattr(ab.subprocess, "run", no_subprocess)
+    with pytest.raises(SystemExit, match="src/ or bench/ has uncommitted changes") as exc:
+        ab.main(["--workload", "certify", "--seeds", "1"])
+    assert "src/invpairs/conditioning.py" in str(exc.value)
+
+
+def test_both_sides_run_from_exports_in_one_directory(monkeypatch, tmp_path):
+    ab = _load_ab()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": DEFINITIONS}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "_git", _fake_git(""))
+    exported, seen = {}, {}
+
+    def export(rev, dest):
+        dest.mkdir()
+        exported[rev] = dest
+        return dest
+
+    def run_pairs(trees, workload, seeds, seconds, start=0):
+        seen.update(trees)
+        values = {"ok_per_s": 2.0, "job_ms.p50": 5.0, "ok_frac": 1.0}
+        env = {"nproc": 2, "cpus_usable": 2, "thread_env": {}, "blas": [], "python": "3",
+               "numpy": "2", "scipy": "1"}
+        return _runs([values] * len(seeds), [values] * len(seeds)), env
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "run_pairs", run_pairs)
+    ab.main(["--workload", "certify", "--seeds", "1-2"])
+
+    assert set(exported) == {"p" * 40, "c" * 40}
+    assert seen["parent"] == exported["p" * 40] and seen["child"] == exported["c" * 40]
+    assert seen["parent"].parent == seen["child"].parent != tmp_path
+    doc = json.loads((tmp_path / "BENCH_certify.json").read_text())
+    assert (doc["parent"], doc["child"]) == ("p" * 40, "c" * 40)

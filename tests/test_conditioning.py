@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +199,123 @@ class TestShapeChecks:
             solvent_backward_error(quad_2x2, np.ones((2, 3)))
 
 
+class TestNonFinite:
+    """NaN or inf in X or S is named before any LAPACK call (which would fail
+    with 'SVD did not converge')."""
+
+    def test_pair_condition_number(self, ss_2x2):
+        with pytest.raises(ValueError, match="S has non-finite entries"):
+            pair_condition_number(ss_2x2, GOLDEN_X_SS, np.where(np.eye(3), np.nan, GOLDEN_S_SS))
+
+    def test_pair_backward_error(self, ss_2x2):
+        X = np.where(GOLDEN_X_SS == 0, np.inf, GOLDEN_X_SS)
+        with pytest.raises(ValueError, match="X has non-finite entries"):
+            pair_backward_error(ss_2x2, X, GOLDEN_S_SS)
+
+    def test_solvent_condition_number(self, quad_2x2):
+        with pytest.raises(ValueError, match="S has non-finite entries"):
+            solvent_condition_number(quad_2x2, np.array([[1.0, np.inf], [0.0, 2.0]]))
+
+    def test_solvent_backward_error(self, quad_2x2):
+        with pytest.raises(ValueError, match="S has non-finite entries"):
+            solvent_backward_error(quad_2x2, np.array([[np.nan, 0.0], [0.0, 2.0]]))
+
+
+def _gelsy_pair_kappa(P, X, S, w=None):
+    """The former kappa path, kept as a reference: J^+ (L kron I) from the
+    xGELSY minimum-norm solve, then its 2-norm."""
+    g = conditioning._gram(P, X, S, w)
+    J = np.hstack(pair_jacobian(P, g.X, g.S))
+    M = conditioning._min_norm_solve(J, g.kron_factor())
+    assert M is not None
+    return np.linalg.norm(M, 2) / math.hypot(np.linalg.norm(g.X), np.linalg.norm(g.S))
+
+
+def _conditioned(rng, n, k, cond):
+    """n-by-k (n >= k) with singular values spread evenly in log from 1 to 1/cond."""
+    U = np.linalg.qr(_random(rng, n, k))[0]
+    V = np.linalg.qr(_random(rng, k, k))[0]
+    return (U * np.logspace(0, -np.log10(cond), k)) @ V
+
+
+class TestRFactorPath:
+    """kappa from the R factor of J^H against the pivoted-QR path it replaced
+    (the solvent case is checked against a dense solve in TestKroneckerOracle),
+    and the SVD path where R is too ill conditioned."""
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("n, ell, k", [(4, 2, 3), (6, 3, 4), (9, 2, 6)])
+    def test_ill_conditioned_x_matches_gelsy(self, n, ell, k, cond):
+        rng = np.random.default_rng(10 * n + k + int(np.log10(cond)))
+        P = _random_polynomial(rng, n, ell)
+        X, S = _conditioned(rng, n, k, cond), _random(rng, k, k)
+        assert np.linalg.cond(X) == pytest.approx(cond, rel=1e-6)
+        got, want = pair_condition_number(P, X, S), _gelsy_pair_kappa(P, X, S)
+        assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("n, ell, k, zero", [(4, 3, 5, (0, 1, 3)), (3, 1, 7, ()), (2, 2, 5, (2,))])
+    def test_wide_pair_with_rank_deficient_gram_matches_gelsy(self, n, ell, k, zero):
+        rng = np.random.default_rng(100 * n + k)
+        P = _random_polynomial(rng, n, ell)
+        X, S = _random(rng, n, k), _random(rng, k, k)
+        w = _weights(P, zero)
+        assert conditioning._gram(P, X, S, w).s.size < k
+        got, want = pair_condition_number(P, X, S, w), _gelsy_pair_kappa(P, X, S, w)
+        assert abs(got - want) <= 1e-9 * want
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record what each _r_factor_solve call returns, and R's rcond estimate."""
+        seen = []
+        real = conditioning._r_factor_solve
+
+        def spy(J, B):
+            R = np.linalg.qr(J.conj().T, mode="r")
+            rcond = 1.0 / np.linalg.cond(R, 1)
+            out = real(J, B)
+            seen.append((rcond, out is None))
+            return out
+
+        monkeypatch.setattr(conditioning, "_r_factor_solve", spy)
+        return seen
+
+    def test_pair_between_eps_and_sqrt_eps_takes_svd_path(self, ss_2x2, monkeypatch):
+        # 1e-10 away from the rank-3 pair of test_nonsimple_pair_warns: J keeps
+        # full SVD rank nk = 6, but R is too ill conditioned for the R path
+        rng = np.random.default_rng(0)
+        X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]) + 1e-10 * rng.standard_normal((2, 3))
+        S = 1e-10 * rng.standard_normal((3, 3))
+        J = np.hstack(pair_jacobian(ss_2x2, X, S))
+        assert numerical_rank(J) == 6
+        seen = self._spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pair_condition_number(ss_2x2, X, S)
+        [(rcond, fell_back)] = seen
+        assert np.finfo(float).eps < rcond < math.sqrt(np.finfo(float).eps) and fell_back
+        LI = conditioning._gram(ss_2x2, X, S, None).kron_factor()
+        want = np.linalg.norm(np.linalg.pinv(J) @ LI, 2) / np.linalg.norm(np.vstack([X, S]))
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_solvent_between_eps_and_sqrt_eps_takes_dense_solve(self, monkeypatch):
+        # 1e-10 away from the singular-Jacobian solvent of
+        # test_singular_jacobian_uses_pseudoinverse: full SVD rank, no warning
+        S0 = np.array([[1.0, 2.0], [0.0, -1.0]])
+        P = MatrixPolynomial([S0 @ S0, -2 * S0, np.eye(2)])
+        S = S0 + 1e-10 * np.random.default_rng(1).standard_normal((2, 2))
+        B_S = solvent_jacobian(P, S)
+        assert numerical_rank(B_S) == 4
+        seen = self._spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solvent_condition_number(P, S)
+        [(rcond, fell_back)] = seen
+        assert np.finfo(float).eps < rcond < math.sqrt(np.finfo(float).eps) and fell_back
+        LI = conditioning._gram(P, np.eye(2), S, None).kron_factor()
+        want = np.linalg.norm(np.linalg.solve(B_S, LI), 2) / np.linalg.norm(S)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestWeights:
     def test_frobenius_default(self, ss_2x2):
         w = frobenius_weights(ss_2x2)
@@ -205,6 +325,10 @@ class TestWeights:
     def test_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             WeightVector((-1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector((np.inf, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector((np.nan, 1.0))
         with pytest.raises(ValueError, match="positive"):
             WeightVector((0.0, 0.0))
 
@@ -252,12 +376,13 @@ class TestPairConditionNumber:
             pair_condition_number(ss_2x2, X, S)
 
     def test_nonsimple_pair_uses_pseudoinverse(self, ss_2x2):
-        # the pivoted-QR solve finds rank 3 < nk and leaves kappa to the SVD
-        # path, which must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
+        # J has rank 3 < nk, so neither the R factor of J^H nor the pivoted-QR
+        # solve takes it; the SVD path must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
         X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], dtype=complex)
         S = np.zeros((3, 3), dtype=complex)
         J = np.hstack(pair_jacobian(ss_2x2, X, S))
         assert conditioning._min_norm_solve(J, np.eye(6)) is None
+        assert conditioning._r_factor_solve(J, np.eye(6)) is None
         LI = conditioning._gram(ss_2x2, X, S, None).kron_factor()
         want = np.linalg.norm(np.linalg.pinv(J) @ LI, 2) / np.linalg.norm(np.vstack([X, S]))
         with pytest.warns(UserWarning, match="rank deficient"):

@@ -136,6 +136,11 @@ class TestVerifySolvent:
         want = np.linalg.norm(quad_2x2.coeffs[0], "fro")
         assert report.residual == pytest.approx(want)
 
+    def test_non_finite_entries_raise(self, quad_2x2):
+        # named before the eigendecomposition, which would not converge
+        with pytest.raises(ValueError, match="S has non-finite entries"):
+            verify_solvent(quad_2x2, np.array([[1.0, np.nan], [0.0, 2.0]]))
+
 
 class TestTriangularSolve:
     def test_contradictory_branch(self, triangular_3x3):

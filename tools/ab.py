@@ -1,10 +1,14 @@
-"""A/B benchmark of a parent revision against the checkout this script is in.
+"""A/B benchmark of a parent revision against HEAD of the checkout this script is in.
 
     python3 tools/ab.py --workload extract --parent HEAD~1 --seeds 1-10 --confirm 11
 
-The parent revision is exported with `git archive` into a temporary
-directory, which is removed afterwards.  For every seed the
-parent and the child (this checkout) each run
+The parent revision and the child (HEAD) are both exported with `git
+archive`, side by side in one temporary directory that is removed
+afterwards, so that neither side runs from a tree the other lacks (a
+checkout against an export read 10 % apart with the same code on both
+sides).  The runner refuses to start while src/ or bench/ has uncommitted
+changes, since the child export would not contain them.  For every seed the
+parent and the child each run
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -41,6 +45,14 @@ def parse_seeds(text):
 
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev, dest):
+    """Revision `rev` unpacked with `git archive` into the new directory `dest`."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -120,24 +132,24 @@ def main(argv=None):
                     help="seeds run after --seeds and reported on their own")
     args = ap.parse_args(argv)
 
+    dirty = _git("status", "--porcelain", "--", "src", "bench")
+    if dirty:
+        raise SystemExit("src/ or bench/ has uncommitted changes, which the child export (HEAD) "
+                         f"would not contain; commit or stash them first:\n{dirty}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     out = ROOT / f"BENCH_{args.workload}.json"
     shas = {"parent": _git("rev-parse", args.parent), "child": _git("rev-parse", "HEAD")}
-    dirty = bool(_git("status", "--porcelain", "--", "src", "bench"))
 
     with tempfile.TemporaryDirectory(prefix="invpairs-ab-") as tmp:
-        archive = subprocess.run(["git", "archive", shas["parent"]], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"parent": Path(tmp), "child": ROOT}
+        trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
         runs, env = run_pairs(trees, args.workload, args.seeds, seconds)
         confirm, _ = run_pairs(trees, args.workload, args.confirm, seconds, start=len(runs))
 
     doc = {
         "workload": args.workload,
         "command": f"python3 bench/run.py --workload {args.workload} --seed S --seconds {seconds:g} --trace 0",
-        "parent": shas["parent"], "child": shas["child"], "child_tree_dirty": dirty,
+        "parent": shas["parent"], "child": shas["child"],
         "machine": machine(env),
         "seeds": args.seeds,
         "metrics": summarize(runs, bench["end_to_end"]),
