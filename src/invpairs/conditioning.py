@@ -18,10 +18,10 @@ J^+ = Q R^{-H} for the thin QR factorization J^H = Q R, and Q has
 orthonormal columns, so ||J^+ B_A||_2 = ||R^{-H} B_A||_2: J enters through
 one QR factorization (R only) and one triangular solve.  An SVD of J runs
 only when R is too ill conditioned for that (reciprocal condition estimate
-at most sqrt(eps)).  The same B_A matrix, seen as the map from scaled coefficient perturbations to the
-residual, yields the backward error as a minimum-norm solve, sandwiched by
-the closed-form bounds with ||X S^i||_F and sigma_min(X S^i).  Solvents are
-the X = I, DX = 0 specialization.
+at most sqrt(eps)).  The same B_A matrix, seen as the map from scaled
+coefficient perturbations to the residual, yields the backward error as a
+minimum-norm solve, sandwiched by the closed-form bounds with ||X S^i||_F
+and sigma_min(X S^i).  Solvents are the X = I, DX = 0 specialization.
 
 B_A is never formed.  Up to a column permutation it is W^T kron I_n, where
 W stacks the blocks alpha_i X S^i (alpha_i > 0) into a (#alpha)n-by-k
@@ -225,7 +225,8 @@ def _r_factor_solve(J, B):
     triangular R; at or below sqrt(eps), the cutoff of _min_norm_solve, the
     caller takes its SVD path instead.
     """
-    R = scipy.linalg.qr(J.conj().T, mode="r", overwrite_a=True, check_finite=False)[0][: J.shape[0]]
+    R = scipy.linalg.qr(J.conj().T, mode="r", overwrite_a=True, check_finite=False)[0]
+    R = R[: J.shape[0]]
     trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (R,))
     rcond, info = trcon(R)
     if info != 0 or not rcond > math.sqrt(EPS):
@@ -331,11 +332,12 @@ def solvent_condition_number(P, S, w=None):
     B_S = solvent_jacobian(P, g.S)
     LI = g.kron_factor()
     M = _r_factor_solve(B_S, LI)
-    if M is None and numerical_rank(B_S) < B_S.shape[0]:
-        warnings.warn("solvent Jacobian is singular; using a pseudoinverse", stacklevel=2)
-        M = np.linalg.pinv(B_S) @ LI
-    elif M is None:
-        M = np.linalg.solve(B_S, LI)
+    if M is None:
+        if numerical_rank(B_S) < B_S.shape[0]:
+            warnings.warn("solvent Jacobian is singular; using a pseudoinverse", stacklevel=2)
+            M = np.linalg.pinv(B_S) @ LI
+        else:
+            M = np.linalg.solve(B_S, LI)
     return float(np.linalg.norm(M, 2) / np.linalg.norm(g.S, "fro"))
 
 
