@@ -26,7 +26,7 @@ p(t) = sum_{d,e} t^(d+e) Re<C_d, C_e> holds exactly for every degree.  The
 paper's six-term form of p, built from two contour integrals and exact for
 degree <= 2, is the reference reached by passing a contour to
 line_search_poly.  A solvent S is refined as the pair (I, S) with DX = 0 by
-the same loop, with the square solvent Jacobian in the correction.  Plain
+the same loop and the same column solves, without the border.  Plain
 Newton is the t = 1 special case.
 """
 
@@ -122,20 +122,18 @@ class NewtonCorrection(NamedTuple):
     jacobian_rank: int
 
 
-def _step_expansion(coeffs, X, S, dX, dS):
-    """Coefficients C_0..C_{ell+1} of sum_j A_j (X + t dX)(S + t dS)^j = sum_d t^d C_d.
+def _step_expansion(P, X, S, dX, dS):
+    """Coefficients C_0..C_{ell+1} of P(X + t dX, S + t dS) = sum_d t^d C_d.
 
-    coeffs is the stack A_0..A_ell (P.coeffs, or the bordered coefficients
-    of the Schur-structured correction).  Y_j(t) = (X + t dX)(S + t dS)^j
-    is carried as its stack of coefficients and advanced by
-    Y_{j+1} = Y_j S + t Y_j dS; then C = sum_j A_j Y_j.  Returns an
-    (ell + 2, rows of A_j, k) array.
+    Y_j(t) = (X + t dX)(S + t dS)^j is carried as its stack of coefficients
+    and advanced by Y_{j+1} = Y_j S + t Y_j dS; then C = sum_j A_j Y_j.
+    Returns an (ell + 2, n, k) array.
     """
     X, S, dX, dS = (np.asarray(a, dtype=complex) for a in (X, S, dX, dS))
-    Y = np.zeros((len(coeffs) + 1,) + X.shape, dtype=complex)
+    Y = np.zeros((P.degree + 2,) + X.shape, dtype=complex)
     Y[0], Y[1] = X, dX
-    C = coeffs[0] @ Y
-    for A in coeffs[1:]:
+    C = P.coeffs[0] @ Y
+    for A in P.coeffs[1:]:
         shifted = Y[:-1] @ dS
         Y = Y @ S
         Y[1:] += shifted
@@ -149,7 +147,7 @@ def frechet_apply(P, X, S, dX, dS):
     This is the t^1 coefficient of P(X + t dX, S + t dS), i.e.
     sum_j A_j dX S^j + sum_j A_j X (sum_i S^i dS S^{j-i-1}).
     """
-    return _step_expansion(P.coeffs, X, S, dX, dS)[1]
+    return _step_expansion(P, X, S, dX, dS)[1]
 
 
 def newton_correction(P, X, S):
@@ -181,21 +179,36 @@ def newton_correction(P, X, S):
     return NewtonCorrection(dX, dS, float(np.linalg.norm(J @ sol - rhs)), int(rank))
 
 
+def _triangular_columns(E, T, rhs):
+    """Solution Z of sum_j E_j Z T^j = rhs for upper triangular T, or None if singular.
+
+    Column c solves (sum_j t_cc^j E_j) z_c = rhs_c and then removes its terms
+    sum_j E_j z_c (T^j)[c, d] from the right-hand sides of the later columns d.
+    None when a column system is singular or its solution is not finite.
+    """
+    pows = _powers(T, len(E) - 1)
+    flat = E.reshape(len(E), -1)
+    Z = np.array(rhs, dtype=complex)
+    for c in range(len(T)):
+        try:
+            Z[:, c] = np.linalg.solve((pows[:, c, c] @ flat).reshape(E.shape[1:]), Z[:, c])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(Z[:, c]).all():
+            return None
+        Z[:, c + 1:] -= (E @ Z[:, c]).T @ pows[:, c, c + 1:]
+    return Z
+
+
 def _schur_correction(P, X, S):
     """Newton correction normalized by W^H DV_ell(dX, dS) = 0, or None if singular.
 
     In the Schur basis S = Q T Q^H, X' = X Q, W is an orthonormal basis of
     V_ell(X', T) = [X'; X'T; ...; X'T^(ell-1)], and the bordered coefficients
     Ahat_j = [A_j; W_j^H] (W_ell = 0) turn the normalized equation into
-    DPhat_(X', T)(dX', dS') = [-P(X, S) Q; 0].  T is upper triangular, so
-    column c of that equation reads
-
-        [Fhat(t_cc) | sum_m t_cc^m D_m] [dX'_c; dS'_c] = rhs_c - (earlier columns),
-
-    with Fhat(mu) = sum_j Ahat_j mu^j and the _ds_factors D_m of (Ahat, X', T):
-    k bordered (n+k)-by-(n+k) solves.  Each solved column's Frechet term, the
-    t^1 coefficient of the bordered step expansion, is subtracted from the
-    right-hand sides of the later columns.
+    sum_j [Ahat_j | D_j] [dX'; dS'] T^j = [-P(X, S) Q; 0], with the
+    _ds_factors D_j of (Ahat, X', T) and D_ell = 0: k bordered column solves
+    of size n + k.
     """
     n, k = X.shape
     ell = P.degree
@@ -203,37 +216,25 @@ def _schur_correction(P, X, S):
     Xq = X @ Q
     V = Xq @ _powers(T, ell - 1)
     W = np.linalg.qr(V.reshape(ell * n, k))[0].reshape(ell, n, k)
-    bordered = np.zeros((ell + 1, n + k, n), dtype=complex)
-    bordered[:, :n] = P.coeffs
-    bordered[:ell, n:] = W.conj().transpose(0, 2, 1)
-    # column matrix K(mu) = sum_j mu^j [Ahat_j | D_j], with D_ell = 0
     E = np.zeros((ell + 1, n + k, n + k), dtype=complex)
-    E[:, :, :n] = bordered
-    E[:ell, :, n:] = _ds_factors(bordered, Xq, T)
+    E[:, :n, :n] = P.coeffs
+    E[:ell, n:, :n] = W.conj().transpose(0, 2, 1)
+    E[:ell, :, n:] = _ds_factors(E[:, :, :n], Xq, T)
     rhs = np.zeros((n + k, k), dtype=complex)
     # P(X, S) Q, not P(X', T): T equals Q^H S Q only to roundoff in S, which
     # near a pair is large against the residual
     rhs[:n] = -eval_pair(P, (X, S)) @ Q
-    dXq = np.zeros((n, k), dtype=complex)
-    dT = np.zeros((k, k), dtype=complex)
-    for c in range(k):
-        K = E[ell]
-        for Ej in E[ell - 1::-1]:
-            K = K * T[c, c] + Ej
-        try:
-            z = np.linalg.solve(K, rhs[:, c])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(z).all():
-            return None
-        dXq[:, c], dT[:, c] = z[:n], z[n:]
-        if c + 1 < k:
-            ex = np.zeros((n, k), dtype=complex)
-            es = np.zeros((k, k), dtype=complex)
-            ex[:, c], es[:, c] = z[:n], z[n:]
-            rhs[:, c + 1:] -= _step_expansion(bordered, Xq, T, ex, es)[1][:, c + 1:]
-    Qh = Q.conj().T
-    return dXq @ Qh, Q @ dT @ Qh
+    Z = _triangular_columns(E, T, rhs)
+    return None if Z is None else (Z[:n] @ Q.conj().T, Q @ Z[n:] @ Q.conj().T)
+
+
+def _solvent_correction(P, S):
+    """Solvent correction dS, or None if singular: with S = Q T Q^H, the pair
+    equation at X' = Q without the border, sum_m D_m dS' T^m = -P(S) Q for the
+    _ds_factors D_m of (A, Q, T), and dS = Q dS' Q^H."""
+    T, Q = schur(S, output="complex")
+    dS = _triangular_columns(_ds_factors(P.coeffs, Q, T), T, -eval_matrix(P, S) @ Q)
+    return None if dS is None else Q @ dS @ Q.conj().T
 
 
 def default_line_search_contour(S, nodes=128):
@@ -279,7 +280,7 @@ def line_search_poly(P, X, S, dX, dS, contour=None):
     is exact for degree <= 2 and serves as the reference there.
     """
     if contour is None:
-        C = _step_expansion(P.coeffs, X, S, dX, dS)
+        C = _step_expansion(P, X, S, dX, dS)
         F = C.reshape(len(C), -1)
         gram = (F.conj() @ F.T).real
         coeffs = np.zeros(2 * len(C) - 1)
@@ -341,13 +342,12 @@ def _newton(P, X, S, correction, scale, tol, maxit, line_search):
     """Newton loop shared by pairs and solvents.
 
     correction(X, S) returns the step direction (dX, dS); the residual
-    ||P(X, S)||_F is reported relative to ||scale(X, S)||_F.
+    ||P(X, S)||_F is reported relative to scale(X, S).
     """
     start = time.perf_counter()
 
     def relative_residual(X, S):
-        return float(np.linalg.norm(eval_pair(P, (X, S)), "fro")
-                     / np.linalg.norm(scale(X, S), "fro"))
+        return float(np.linalg.norm(eval_pair(P, (X, S)), "fro") / scale(X, S))
 
     history = [relative_residual(X, S)]
     steps = []
@@ -381,7 +381,7 @@ def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     X0, S0 = _checked_pair(P, X0, S0)
     X, S, report = _newton(
         P, X0, S0, lambda X, S: _schur_correction(P, X, S) or newton_correction(P, X, S)[:2],
-        lambda X, S: X, tol, maxit, line_search,
+        lambda X, S: np.linalg.norm(X, "fro"), tol, maxit, line_search,
     )
     return InvariantPair(X, S), report
 
@@ -389,25 +389,23 @@ def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
 def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
     """Newton iteration on P(S) = 0, the pair iteration at X = I, dX = 0.
 
-    The correction solves the square solvent equation, falling back to a
-    pseudoinverse (with a warning) where its Jacobian is singular.  Stops
-    when ||P(S_k)||_F / ||S_k||_F < tol.  Raises ValueError unless S0 is a
-    finite n-by-n matrix.
+    Each step is the Schur-structured correction; where a column system is
+    singular it is the pseudoinverse solution of the dense solvent Jacobian,
+    with a warning.  Stops when ||P(S_k)||_F / ||S_k||_F < tol (over 1 at
+    S_k = 0).  Raises ValueError unless S0 is a finite n-by-n matrix.
     """
     S0 = require_finite(_as_square_complex(S0, P.n, what="S"), "S")
     dX = np.zeros_like(S0)
 
     def correction(X, S):
-        B = solvent_jacobian(P, S)
-        rhs = -eval_matrix(P, S).ravel(order="F")
-        try:
-            sol = np.linalg.solve(B, rhs)
-        except np.linalg.LinAlgError:
+        dS = _solvent_correction(P, S)
+        if dS is None:
             warnings.warn("solvent Jacobian singular at iterate; using pseudoinverse", stacklevel=4)
-            sol, *_ = np.linalg.lstsq(B, rhs, rcond=None)
-        return dX, sol.reshape(S.shape, order="F")
+            rhs = -eval_matrix(P, S).ravel(order="F")
+            dS = np.linalg.lstsq(solvent_jacobian(P, S), rhs, rcond=None)[0].reshape(S.shape, order="F")
+        return dX, dS
 
-    _, S, report = _newton(P, np.eye(P.n, dtype=complex), S0, correction, lambda X, S: S,
-                           tol, maxit, line_search)
+    _, S, report = _newton(P, np.eye(P.n, dtype=complex), S0, correction,
+                           lambda X, S: np.linalg.norm(S, "fro") or 1.0, tol, maxit, line_search)
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro"))
     return Solvent(S, residual), report

@@ -18,6 +18,7 @@ from invpairs import (
     newton_correction,
     refine_pair,
     refine_solvent,
+    verify_solvent,
 )
 from invpairs.matpoly import companion_linearization
 from invpairs.refine import default_line_search_contour, solvent_step_poly
@@ -230,6 +231,103 @@ class TestPairCorrectionFallback:
         pair, _ = refine_pair(ss_2x2, X, S, tol=0.0, maxit=1, line_search=False)
         np.testing.assert_array_equal(pair.X, X + want.dX)
         np.testing.assert_array_equal(pair.S, S + want.dS)
+
+
+class TestTriangularColumns:
+    @pytest.mark.parametrize("ell", [1, 2, 4])
+    @pytest.mark.parametrize("r, k", [(3, 1), (4, 2), (2, 5), (6, 3)])
+    def test_matches_dense_kronecker_solve(self, ell, r, k):
+        rng = np.random.default_rng(1000 * ell + 10 * r + k)
+        E = _noise(rng, (ell + 1, r, r))
+        T = np.triu(_noise(rng, (k, k)))
+        self._check(E, T, _noise(rng, (r, k)))
+
+    def test_repeated_diagonal_entry(self):
+        rng = np.random.default_rng(31)
+        E = _noise(rng, (3, 4, 4))
+        T = np.triu(_noise(rng, (4, 4)))
+        T[2, 2] = T[0, 0]
+        T[3, 3] = T[0, 0]
+        self._check(E, T, _noise(rng, (4, 4)))
+
+    def test_singular_column_system_gives_none(self):
+        rng = np.random.default_rng(32)
+        E = _noise(rng, (3, 4, 4))
+        E[0][:, 1] = 0.0
+        T = np.triu(_noise(rng, (3, 3)))
+        # column 1 solves with E_0 alone, which has a zero column
+        T[1, 1] = 0.0
+        assert refine._triangular_columns(E, T, _noise(rng, (4, 3))) is None
+
+    @staticmethod
+    def _check(E, T, rhs):
+        """Against the dense solve of sum_j ((T^j)^T kron E_j) vec Z = vec rhs."""
+        power = [np.linalg.matrix_power(T, j) for j in range(len(E))]
+        K = sum(np.kron(power[j].T, E[j]) for j in range(len(E)))
+        want = np.linalg.solve(K, rhs.ravel(order="F")).reshape(rhs.shape, order="F")
+        got = refine._triangular_columns(E, T, rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _near_solvent(seed, n, ell):
+    """The solvent of a random P built from n of its eigenpairs, perturbed by 1e-4."""
+    rng = np.random.default_rng(seed)
+    P = random_regular_polynomial(rng, n, ell)
+    vals, vecs = np.linalg.eig(companion_linearization(P))
+    V = vecs[:n, :n]
+    S = V @ np.diag(vals[:n]) @ np.linalg.inv(V)
+    return P, S + 1e-4 * _noise(rng, (n, n))
+
+
+class TestSolventCorrection:
+    @pytest.mark.parametrize("n, ell", [(2, 1), (5, 1), (3, 2), (6, 2), (4, 3), (3, 4)])
+    def test_matches_solvent_jacobian_solve(self, n, ell):
+        self._check(*_near_solvent(10 * n + ell, n, ell))
+
+    def test_repeated_eigenvalue_of_S(self):
+        P, _, S1 = _repeated_eigenvalue_pair()
+        rng = np.random.default_rng(71)
+        # off the solvent S1, with its eigenvalues 2, 2, -1 kept
+        S = S1 + 1e-4 * np.triu(_noise(rng, (3, 3)), 1)
+        assert np.count_nonzero(np.isclose(np.linalg.eigvals(S), 2.0)) == 2
+        self._check(P, S)
+
+    @staticmethod
+    def _check(P, S):
+        rhs = -eval_matrix(P, S).ravel(order="F")
+        want = np.linalg.solve(solvent_jacobian(P, S), rhs).reshape(S.shape, order="F")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dS = refine._solvent_correction(P, S)
+            sol, _ = refine_solvent(P, S, tol=0.0, maxit=1, line_search=False)
+        assert np.linalg.norm(dS - want) <= 1e-10 * np.linalg.norm(want)
+        # refine_solvent takes this step
+        np.testing.assert_allclose(sol.S, S + dS, rtol=0, atol=1e-14 * np.abs(S).max())
+
+
+class TestSolventCorrectionFallback:
+    def test_singular_column_system_uses_pseudoinverse(self):
+        # P(lambda) = (lambda I - D)^2 at its solvent D: the column systems
+        # at t_cc = 1 and -1 are singular
+        D = np.diag([1.0, -1.0]).astype(complex)
+        P = MatrixPolynomial([D @ D, -2 * D, np.eye(2)])
+        assert refine._solvent_correction(P, D) is None
+        rhs = -eval_matrix(P, D).ravel(order="F")
+        want = np.linalg.lstsq(solvent_jacobian(P, D), rhs, rcond=None)[0].reshape((2, 2), order="F")
+        with pytest.warns(UserWarning, match="using pseudoinverse"):
+            sol, report = refine_solvent(P, D, tol=0.0, maxit=1)
+        assert report.iterations == 1
+        np.testing.assert_array_equal(sol.S, D + want)
+
+    def test_non_finite_column_solution_uses_pseudoinverse(self, monkeypatch, quad_2x2):
+        S = (np.diag([1.0, 2.0]) + 1e-3).astype(complex)
+        rhs = -eval_matrix(quad_2x2, S).ravel(order="F")
+        want = np.linalg.lstsq(solvent_jacobian(quad_2x2, S), rhs, rcond=None)[0].reshape((2, 2), order="F")
+        monkeypatch.setattr(np.linalg, "solve", lambda K, b: np.full(b.shape, np.inf))
+        assert refine._solvent_correction(quad_2x2, S) is None
+        with pytest.warns(UserWarning, match="using pseudoinverse"):
+            sol, _ = refine_solvent(quad_2x2, S, tol=0.0, maxit=1, line_search=False)
+        np.testing.assert_array_equal(sol.S, S + want)
 
 
 def eval_derivative_at(P, lam):
@@ -477,6 +575,19 @@ class TestRefineSolvent:
             assert abs(poly(t) - direct) <= 1e-10 * max(1.0, direct)
         # quartic: the coefficients above t^4 vanish
         assert np.all(poly.coefficients()[5:] == 0.0)
+
+    @pytest.mark.parametrize("S0", [np.zeros((2, 2)), 1e-3 * np.ones((2, 2))])
+    def test_zero_solvent_converges(self, S0):
+        # P(S) = diag(1, 2) S + S^2 has the solvent S = 0, where the
+        # relative residual takes a unit denominator
+        P = MatrixPolynomial([np.zeros((2, 2)), np.diag([1.0, 2.0]), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, report = refine_solvent(P, S0)
+        assert report.converged
+        assert np.isfinite(report.residual_history).all()
+        assert np.all(sol.S == 0.0)
+        assert verify_solvent(P, sol.S).certified
 
     @pytest.mark.parametrize("S0, match", [
         (np.ones(2), "S must be square"),
