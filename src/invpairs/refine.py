@@ -194,6 +194,7 @@ def _triangular_columns(E, T, rhs):
             Z[:, c] = np.linalg.solve((pows[:, c, c] @ flat).reshape(E.shape[1:]), Z[:, c])
         except np.linalg.LinAlgError:
             return None
+        # here, not once at the end: an inf in z_c turns the later updates into NaN with warnings
         if not np.isfinite(Z[:, c]).all():
             return None
         Z[:, c + 1:] -= (E @ Z[:, c]).T @ pows[:, c, c + 1:]
