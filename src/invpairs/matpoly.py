@@ -10,7 +10,7 @@ and matrix solvents (k = n, X invertible).
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from ._numeric import numerical_rank
+from ._numeric import numerical_rank, require_finite
 
 __all__ = [
     "MatrixPolynomial",
@@ -48,10 +48,10 @@ class MatrixPolynomial:
     Parameters
     ----------
     coeffs : sequence of (n, n) array_like
-        Coefficients A_0..A_ell in increasing order of the power.  The
-        leading coefficient must be nonzero, and the polynomial must be
-        regular (det P not identically zero); regularity is checked at a
-        seeded random sample point.
+        Coefficients A_0..A_ell in increasing order of the power.  Every
+        entry must be finite, the leading coefficient must be nonzero, and
+        the polynomial must be regular (det P not identically zero);
+        regularity is checked at a seeded random sample point.
     """
 
     def __init__(self, coeffs):
@@ -63,6 +63,8 @@ class MatrixPolynomial:
         mats = [first]
         for j, a in enumerate(coeffs[1:], start=1):
             mats.append(_as_square_complex(a, n, what=f"coefficient {j}"))
+        for j, m in enumerate(mats):
+            require_finite(m, f"coefficient {j}")
         if not np.any(mats[-1]):
             raise ValueError("leading coefficient is the zero matrix")
         for m in mats:

@@ -11,7 +11,9 @@ diagonal entries are roots of the scalar diagonal polynomials and each
 strictly-upper entry satisfies a scalar linear equation a x + b = 0 once all
 shorter-span entries are known.  Degenerate equations produce free
 parameters (the solvent families of problems with infinitely many solvents)
-or kill the branch.
+or kill the branch.  S_t is kept as an affine stack, a constant matrix and
+one direction per free parameter, and one Horner evaluation of the
+polynomial on the stack gives b for a whole superdiagonal.
 """
 
 import itertools
@@ -173,73 +175,6 @@ def verify_solvent(P, S, tol=1e-8):
 # upper triangular polynomials
 
 
-class _Affine:
-    """Complex value depending affinely on free parameters: const + sum c_i * p_i."""
-
-    __slots__ = ("const", "lin")
-
-    def __init__(self, const=0.0, lin=None):
-        self.const = complex(const)
-        self.lin = dict(lin) if lin else {}
-
-    def __add__(self, other):
-        if not isinstance(other, _Affine):
-            other = _Affine(other)
-        lin = dict(self.lin)
-        for key, c in other.lin.items():
-            lin[key] = lin.get(key, 0.0) + c
-        return _Affine(self.const + other.const, lin)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, _Affine):
-            return _Affine(self.const * other, {k: c * other for k, c in self.lin.items()})
-        if self.lin and other.lin:
-            raise NonAffineFamilyError(
-                "product of two parameter-dependent entries; "
-                "the solvent family is not affine in its free parameters"
-            )
-        if other.lin:
-            return other * self.const
-        return self * other.const
-
-    __rmul__ = __mul__
-
-    def substitute(self, key, value):
-        """Replace parameter `key` by an affine value."""
-        if key not in self.lin:
-            return self
-        lin = dict(self.lin)
-        c = lin.pop(key)
-        out = _Affine(self.const, lin)
-        return out + value * c
-
-
-def _affine_poly_entry(coeff_entries, S, i, j):
-    """Entry (i, j) of sum_p T_p S^p for an affine upper triangular S."""
-    # power = S^p restricted to rows and columns i..j (all that entry (i, j)
-    # reads), power[r - i][c - i] = (S^p)[r][c] for r <= c, the only entries
-    # read; acc takes row i of T_p.  The highest power is read only in its
-    # last column, so only that column is built.
-    size = j - i + 1
-    acc = _Affine(coeff_entries[0][i][j])
-    power = [[_Affine(1.0 if r == c else 0.0) for c in range(size)] for r in range(size)]
-    for p in range(1, len(coeff_entries)):
-        first = size - 1 if p == len(coeff_entries) - 1 else 0
-        nxt = [[None] * size for _ in range(size)]
-        for r in range(size):
-            for c in range(max(r, first), size):
-                total = _Affine(0.0)
-                for q in range(r, c + 1):
-                    total = total + power[r][q] * S[i + q][i + c]
-                nxt[r][c] = total
-        power = nxt
-        for q in range(size):
-            acc = acc + power[q][-1] * coeff_entries[p][i][i + q]
-    return acc
-
-
 def _distinct_roots(coeffs):
     """Distinct roots of a scalar polynomial, multiple roots merged once."""
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -263,32 +198,28 @@ def triangular_solvent_solve(T, branch_cap=1000, zero_tol=None):
     When b vanishes only on a hyperplane of the parameters, the constraint
     eliminates one parameter instead.
 
+    The candidate S is held as an affine stack: S[0] is the constant part
+    and S[1 + q] the direction of free parameter q.  An entry of span s
+    reads only entries of smaller span, so one evaluation of sum_p T_p S^p
+    on the stack, while the span-s entries are still zero, gives b for the
+    whole superdiagonal; it is repeated only after a parameter is added or
+    eliminated.  NonAffineFamilyError is raised when the equation of an
+    entry contains a product of two parameter-dependent entries.
+
     Returns one TriangularSolventFamily per branch, in the deterministic
     order of the root product.
     """
-    coeff_entries = []
-    for A in T.coeffs:
-        A = np.asarray(A)
-        if np.any(np.abs(np.tril(A, -1)) > 0):
-            raise ValueError("all coefficients must be upper triangular")
-        coeff_entries.append(A)
-    n = T.n
-    scale = max(float(np.abs(A).max()) for A in coeff_entries)
+    C = np.array(T.coeffs)
+    if np.any(np.tril(C, -1)):
+        raise ValueError("all coefficients must be upper triangular")
     if zero_tol is None:
-        zero_tol = math.sqrt(EPS) * max(1.0, scale)
+        zero_tol = math.sqrt(EPS) * max(1.0, float(np.abs(C).max()))
 
-    root_choices = [
-        _distinct_roots([coeff_entries[p][i][i] for p in range(len(coeff_entries))])
-        for i in range(n)
-    ]
+    root_choices = [_distinct_roots(C[:, i, i]) for i in range(T.n)]
     total = math.prod(len(r) for r in root_choices)
     if total > branch_cap:
         raise ValueError(f"{total} diagonal branches exceed the cap of {branch_cap}")
-
-    families = []
-    for diag in itertools.product(*root_choices):
-        families.append(_solve_branch(coeff_entries, diag, n, zero_tol))
-    return families
+    return [_solve_branch(C, diag, zero_tol) for diag in itertools.product(*root_choices)]
 
 
 def _divided_difference(diag_coeffs, x, y):
@@ -300,46 +231,62 @@ def _divided_difference(diag_coeffs, x, y):
     return total
 
 
-def _solve_branch(coeff_entries, diag, n, zero_tol):
-    S = [[_Affine(0.0) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        S[i][i] = _Affine(diag[i])
-    nparams = 0
+def _affine_poly(C, S):
+    """sum_p C_p S^p for the affine stack S, by Horner.
+
+    Returns the affine part, a stack shaped like S, and a nonnegative matrix
+    bounding the part of degree >= 2 in the parameters: it is built from
+    absolute values, so it is positive wherever a product of two
+    parameter-dependent entries enters, whatever cancels.
+    """
+    S0, L = S[0], np.abs(S[1:]).sum(axis=0)
+    acc = np.zeros_like(S)
+    acc[0] = C[-1]
+    nonlinear = np.zeros(S0.shape)
+    for Cp in C[-2::-1]:
+        nonlinear = nonlinear @ (np.abs(S0) + L) + np.abs(acc[1:]).sum(axis=0) @ L
+        nxt = acc[0] @ S
+        nxt[1:] += acc[1:] @ S0
+        nxt[0] += Cp
+        acc = nxt
+    return acc, nonlinear
+
+
+def _solve_branch(C, diag, zero_tol):
+    n = len(diag)
+    S = np.diag(np.asarray(diag, dtype=complex))[None]
     for span in range(1, n):
+        stale = True
         for i in range(n - span):
             j = i + span
-            diag_coeffs = [coeff_entries[p][i][i] for p in range(len(coeff_entries))]
-            a = _divided_difference(diag_coeffs, diag[i], diag[j])
-            b = _affine_poly_entry(coeff_entries, S, i, j)
+            if stale:
+                poly, nonlinear = _affine_poly(C, S)
+                stale = False
+            if nonlinear[i, j] > 0:
+                raise NonAffineFamilyError(
+                    "product of two parameter-dependent entries; "
+                    "the solvent family is not affine in its free parameters"
+                )
+            a = _divided_difference(C[:, i, i], diag[i], diag[j])
+            b = poly[:, i, j]
             if abs(a) > zero_tol:
-                S[i][j] = b * (-1.0 / a)
+                S[:, i, j] = b * (-1.0 / a)
                 continue
-            lin_scale = sum(abs(c) for c in b.lin.values())
-            if lin_scale <= zero_tol:
-                if abs(b.const) > zero_tol:
-                    return TriangularSolventFamily(kind="none", diagonal=tuple(diag))
-                S[i][j] = _Affine(0.0, {nparams: 1.0})
-                nparams += 1
-                continue
-            # a = 0 but b depends on earlier parameters: the equation fixes one
-            # of them (leaving this entry itself free) instead of this entry
-            key = max(b.lin, key=lambda k: abs(b.lin[k]))
-            coeff = b.lin.pop(key)
-            value = _Affine(b.const, b.lin) * (-1.0 / coeff)
-            for r in range(n):
-                for c in range(n):
-                    S[r][c] = S[r][c].substitute(key, value)
-            S[i][j] = _Affine(0.0, {nparams: 1.0})
-            nparams += 1
-    params = sorted({k for row in S for entry in row for k in entry.lin})
-    base = np.array([[entry.const for entry in row] for row in S])
-    if not params:
-        return TriangularSolventFamily(kind="unique", diagonal=tuple(diag), base=base)
-    directions = tuple(
-        np.array([[entry.lin.get(k, 0.0) for entry in row] for row in S]) for k in params
-    )
+            if np.abs(b[1:]).sum() > zero_tol:
+                # a = 0 but b depends on earlier parameters: the equation fixes
+                # one of them (leaving this entry itself free) instead of this entry
+                key = 1 + int(np.argmax(np.abs(b[1:])))
+                value = np.delete(b, key) * (-1.0 / b[key])
+                S = np.delete(S, key, 0) + value[:, None, None] * S[key]
+            elif abs(b[0]) > zero_tol:
+                return TriangularSolventFamily(kind="none", diagonal=tuple(diag))
+            S = np.concatenate([S, np.zeros((1, n, n), dtype=complex)])
+            S[-1, i, j] = 1.0
+            stale = True
+    if len(S) == 1:
+        return TriangularSolventFamily(kind="unique", diagonal=tuple(diag), base=S[0])
     return TriangularSolventFamily(
-        kind="affine-family", diagonal=tuple(diag), base=base, directions=directions
+        kind="affine-family", diagonal=tuple(diag), base=S[0], directions=tuple(S[1:])
     )
 
 

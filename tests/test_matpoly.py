@@ -40,6 +40,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="leading"):
             MatrixPolynomial([np.eye(2), np.zeros((2, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_coefficient(self, bad):
+        # named at construction; the regularity probe would only warn and a
+        # later solve would fail far from the cause
+        A1 = np.eye(2, dtype=complex)
+        A1[0, 1] = bad
+        with pytest.raises(ValueError, match="coefficient 1 has non-finite entries"):
+            MatrixPolynomial([np.eye(2), A1, np.eye(2)])
+
     def test_rejects_singular_polynomial(self):
         # common zero row makes det P identically zero
         A = np.array([[1.0, 2.0], [0.0, 0.0]])

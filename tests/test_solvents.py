@@ -20,7 +20,7 @@ from invpairs.solvents import (
     SingularLeadingBlockError,
     SingularTransformationError,
 )
-from invpairs import problems, solvents
+from invpairs import problems
 
 from conftest import QUAD_EIGENPAIRS, QUAD_SOLVENT_SET
 
@@ -193,29 +193,6 @@ class TestTriangularSolve:
             families[1].member([])
 
 
-def _full_power_entry(coeff_entries, S, i, j):
-    """Entry (i, j) of sum_p T_p S^p through the full n-by-n affine power S^p.
-
-    The reference for the solver's recursion, which keeps only rows and
-    columns i..j of S^p and must form the same products in the same order.
-    """
-    size = len(S)
-    acc = solvents._Affine(coeff_entries[0][i][j])
-    power = [[solvents._Affine(1.0 if r == c else 0.0) for c in range(size)] for r in range(size)]
-    for p in range(1, len(coeff_entries)):
-        nxt = [[solvents._Affine(0.0) for _ in range(size)] for _ in range(size)]
-        for r in range(size):
-            for c in range(r, size):
-                total = solvents._Affine(0.0)
-                for q in range(r, c + 1):
-                    total = total + power[r][q] * S[q][c]
-                nxt[r][c] = total
-        power = nxt
-        for q in range(i, j + 1):
-            acc = acc + power[q][j] * coeff_entries[p][i][q]
-    return acc
-
-
 def _random_triangular(seed):
     """Upper triangular T of size 2..5: monic diagonal polynomials with roots
     from {1, -1, 2} and sparse integer strictly-upper entries, so that shared
@@ -238,45 +215,66 @@ def _solve_outcome(T):
         return type(err)
 
 
-class TestTriangularPowerBlock:
-    """The affine power recursion restricted to rows and columns i..j gives
-    bitwise the families of the full-power recursion whenever the latter
-    returns.  The restricted products are a subset of the full ones, so the
-    solver raises NonAffineFamilyError only where the reference raises too;
-    the reference can also raise on a product of entries that no equation
-    reads, and then the solver's families must still be solvents."""
+# Branch kinds of _random_triangular(seed), one letter per branch
+# (u unique, f affine-family, - none), or "raised"; seeds 1 and 2 eliminate
+# a parameter on their family branch.
+SEEDED_KINDS = {
+    0: "u", 1: "uf----uu", 2: "----------------------f-", 3: "u", 4: "u-",
+    5: "--------u--------u", 6: "u", 7: "--------", 8: "u--u--", 9: "u",
+    10: "----", 11: "----------------", 12: "u", 13: "f", 14: "raised", 15: "u",
+}
+KIND_LETTER = {"unique": "u", "affine-family": "f", "none": "-"}
 
-    def _compare(self, T, monkeypatch):
-        got = _solve_outcome(T)
-        with monkeypatch.context() as m:
-            m.setattr(solvents, "_affine_poly_entry", _full_power_entry)
-            want = _solve_outcome(T)
-        if want is NonAffineFamilyError:
-            if got is not NonAffineFamilyError:
-                for fam in got:
-                    if fam.kind != "none":
-                        member = fam.member(np.ones(len(fam.directions)))
-                        assert np.linalg.norm(eval_matrix(T, member)) <= 1e-10
-            return want
-        assert isinstance(got, list) and len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.kind, g.diagonal) == (w.kind, w.diagonal)
-            assert (g.base is None) == (w.base is None)
-            if w.base is not None:
-                assert np.array_equal(g.base, w.base)
-            assert len(g.directions) == len(w.directions)
-            assert all(np.array_equal(a, b) for a, b in zip(g.directions, w.directions))
-        return [w.kind for w in want]
 
-    def test_fixture(self, triangular_3x3, monkeypatch):
-        assert self._compare(triangular_3x3, monkeypatch) == ["none", "affine-family"]
+def _assert_members_are_solvents(T, families, rng):
+    for fam in families:
+        if fam.kind == "none":
+            continue
+        for _ in range(3):
+            c = rng.standard_normal(len(fam.directions)) + 1j * rng.standard_normal(len(fam.directions))
+            assert np.linalg.norm(eval_matrix(T, fam.member(c))) <= 1e-10
 
-    def test_seeded_random(self, monkeypatch):
+
+class TestTriangularSeeded:
+    def test_seeded_random_kinds(self):
+        rng = np.random.default_rng(57)
         kinds = set()
-        for seed in range(16):
-            outcome = self._compare(_random_triangular(seed), monkeypatch)
-            kinds.update(outcome if isinstance(outcome, list) else ["raised"])
+        for seed, want in SEEDED_KINDS.items():
+            T = _random_triangular(seed)
+            outcome = _solve_outcome(T)
+            if outcome is NonAffineFamilyError:
+                assert want == "raised", seed
+                kinds.add("raised")
+                continue
+            assert "".join(KIND_LETTER[f.kind] for f in outcome) == want, seed
+            kinds.update(f.kind for f in outcome)
+            _assert_members_are_solvents(T, outcome, rng)
         assert kinds == {"none", "unique", "affine-family", "raised"}
+
+    def test_no_spurious_nonaffine_error(self):
+        # some products the equations read have a factor whose parameter
+        # coefficients are exactly zero; counting those as nonlinear would
+        # raise here, although every family member is a solvent
+        T = _random_triangular(154)
+        families = triangular_solvent_solve(T)
+        assert len(families) == 8
+        _assert_members_are_solvents(T, families, np.random.default_rng(154))
+
+    @pytest.mark.parametrize("coeffs", [
+        # (lambda - 1)(lambda - 2) I on the branch diag(1, 2, 1): entries (0, 1)
+        # and (1, 2) are free, and entry (0, 2) is fixed by -x_02 + x_01 x_12 = 0
+        [2.0 * np.eye(3), -3.0 * np.eye(3), np.eye(3)],
+        # diag(lambda^2 (lambda - 1), (lambda - 1)(lambda - 2), lambda - 2) on
+        # the branch diag(0, 1, 2): entry (0, 2) is fixed by
+        # 2 x_02 + 2 x_01 x_12 = 0; the x_01 coefficient of (S^2 - S)[0, 1] is
+        # zero there, so Horner's last step (S^2 - S) S carries the product
+        # only through the quadratic part of (S^2 - S)[0, 2]
+        [np.diag([0.0, 2.0, -2.0]), np.diag([0.0, -3.0, 1.0]),
+         np.diag([-1.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])],
+    ])
+    def test_product_of_chained_parameters_raises(self, coeffs):
+        with pytest.raises(NonAffineFamilyError):
+            triangular_solvent_solve(MatrixPolynomial(coeffs))
 
 
 class TestSolventFromTriangular:
@@ -326,24 +324,3 @@ class TestSolventFromTriangular:
         S_t = fam.member([0.0])
         with pytest.raises(SingularLeadingBlockError, match="condition"):
             solvent_from_triangular(triangular_3x3, M_SINGULAR_Y1, S_t)
-
-
-class TestAffineArithmetic:
-    def test_nonaffine_product_raises(self):
-        from invpairs.solvents import _Affine
-
-        a = _Affine(1.0, {0: 1.0})
-        b = _Affine(2.0, {1: 1.0})
-        with pytest.raises(NonAffineFamilyError):
-            a * b
-
-    def test_affine_ops(self):
-        from invpairs.solvents import _Affine
-
-        a = _Affine(1.0, {0: 2.0})
-        b = a * 3.0 + _Affine(0.5)
-        assert b.const == pytest.approx(3.5)
-        assert b.lin == {0: pytest.approx(6.0)}
-        c = b.substitute(0, _Affine(0.0, {1: 1.0}))
-        assert c.const == pytest.approx(3.5)
-        assert c.lin == {1: pytest.approx(6.0)}
