@@ -256,12 +256,9 @@ def _solve_branch(C, diag, zero_tol):
     n = len(diag)
     S = np.diag(np.asarray(diag, dtype=complex))[None]
     for span in range(1, n):
-        stale = True
+        poly, nonlinear = _affine_poly(C, S)
         for i in range(n - span):
             j = i + span
-            if stale:
-                poly, nonlinear = _affine_poly(C, S)
-                stale = False
             if nonlinear[i, j] > 0:
                 raise NonAffineFamilyError(
                     "product of two parameter-dependent entries; "
@@ -282,7 +279,9 @@ def _solve_branch(C, diag, zero_tol):
                 return TriangularSolventFamily(kind="none", diagonal=tuple(diag))
             S = np.concatenate([S, np.zeros((1, n, n), dtype=complex)])
             S[-1, i, j] = 1.0
-            stale = True
+            # b of the later entries on this superdiagonal changes with the
+            # parameters, and so does which entries depend on them
+            poly, nonlinear = _affine_poly(C, S)
     if len(S) == 1:
         return TriangularSolventFamily(kind="unique", diagonal=tuple(diag), base=S[0])
     return TriangularSolventFamily(
