@@ -279,8 +279,8 @@ def _solve_branch(C, diag, zero_tol):
                 return TriangularSolventFamily(kind="none", diagonal=tuple(diag))
             S = np.concatenate([S, np.zeros((1, n, n), dtype=complex)])
             S[-1, i, j] = 1.0
-            # b of the later entries on this superdiagonal changes with the
-            # parameters, and so does which entries depend on them
+            # the stack gained a parameter, and an elimination changes both b of
+            # the later entries here and which entries depend on parameters
             poly, nonlinear = _affine_poly(C, S)
     if len(S) == 1:
         return TriangularSolventFamily(kind="unique", diagonal=tuple(diag), base=S[0])
