@@ -33,7 +33,7 @@ def numerical_rank(a):
     return int(np.count_nonzero(svals > rank_tolerance(a, svals)))
 
 
-def cluster_eigenvalues(values, rel_tol=1e-6, defect_eps=1e-11, scale=None):
+def cluster_eigenvalues(values, rel_tol=1e-6, scale=None):
     """Group approximate eigenvalues into (value, multiplicity) clusters.
 
     A computed copy of a defective eigenvalue of multiplicity q scatters like
@@ -41,7 +41,7 @@ def cluster_eigenvalues(values, rel_tol=1e-6, defect_eps=1e-11, scale=None):
     q = 3 the splitting is already ~1e-5 in double precision).  A group of q
     values around mean c is therefore accepted when its radius is within
 
-        max(rel_tol * max(1, |c|), (defect_eps * scale) ** (1/q)),
+        max(rel_tol * max(1, |c|), (1e-11 * scale) ** (1/q)),
 
     i.e. a relative base threshold plus a multiplicity-aware allowance.
     Groups are grown greedily from the smallest remaining value, preferring
@@ -67,7 +67,7 @@ def cluster_eigenvalues(values, rel_tol=1e-6, defect_eps=1e-11, scale=None):
             radius = max(abs(g - center) for g in group)
             tol = rel_tol * max(1.0, abs(center))
             if q > 1:
-                tol = max(tol, (defect_eps * scale) ** (1.0 / q))
+                tol = max(tol, (1e-11 * scale) ** (1.0 / q))
             if radius <= tol:
                 chosen = (center, group)
                 break

@@ -378,7 +378,7 @@ def block_pair(problem, center, radius, nodes, size, xi, probe_file, seed, out, 
     """Extract an invariant pair from block moments."""
     P = parse_problem(problem)
     U, V = _block_probes(P, xi, probe_file, seed)
-    result = extract_block_invariant_pair(P, Contour(center, radius, nodes), U, V, m=size, seed=seed)
+    result = extract_block_invariant_pair(P, Contour(center, radius, nodes), U, V, m=size)
     _pair_output(P, result, fmt, out)
 
 
@@ -798,9 +798,6 @@ def run_command(argv):
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

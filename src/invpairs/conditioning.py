@@ -208,22 +208,13 @@ def _gram(P, X, S, w):
     return _Gram(X, S, terms, s, Vh, s.size == k and bool(s[-1] > tol))
 
 
-def _min_norm_solve(J, B):
-    """Minimum-norm solution of J Z = B by xGELSY (column-pivoted QR, rank cutoff
-    sqrt(eps)) when J has full row rank, so the solution is exact; else None."""
-    Z, _, rank, _ = scipy.linalg.lstsq(J, B, cond=math.sqrt(EPS), lapack_driver="gelsy",
-                                       check_finite=False)
-    return Z if rank == J.shape[0] else None
-
-
 def _r_factor_solve(J, B):
     """R^{-H} B for the thin QR factorization J^H = Q R, or None unless J has
     full row rank by a margin.
 
     For such J, J^+ = Q R^{-H} and ||J^+ B||_2 = ||R^{-H} B||_2, so Q is never
     formed.  LAPACK's trcon estimates the reciprocal condition number of the
-    triangular R; at or below sqrt(eps), the cutoff of _min_norm_solve, the
-    caller takes its SVD path instead.
+    triangular R; at or below sqrt(eps) the caller takes its SVD path instead.
     """
     R = scipy.linalg.qr(J.conj().T, mode="r", overwrite_a=True, check_finite=False)[0]
     R = R[: J.shape[0]]

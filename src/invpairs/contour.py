@@ -160,15 +160,15 @@ class EigenvalueCount(NamedTuple):
     quality: float
 
 
-def default_probe_vectors(n, seed=0, count=2):
-    """Seeded uniform-on-sphere complex probe vectors.
+def default_probe_vectors(n, seed=0):
+    """Two seeded uniform-on-sphere complex probe vectors (u, v).
 
     Random probes make the nondegeneracy assumptions of the moment method
     hold almost surely when the caller has no preferred u, v.
     """
     rng = np.random.default_rng(seed)
     probes = []
-    for _ in range(count):
+    for _ in range(2):
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         probes.append(w / np.linalg.norm(w))
     return tuple(probes)
@@ -262,7 +262,7 @@ def _block_probes(P, U, V):
     return U, V
 
 
-def block_moments(P, contour, U=None, V=None, count=8, seed=0):
+def block_moments(P, contour, U=None, V=None, count=8):
     """Block analogue of scalar_moments with n-by-xi probe matrices."""
     U, V = _block_probes(P, U, V)
     if count < 1:

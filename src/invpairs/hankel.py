@@ -16,13 +16,10 @@ enclosed eigenvalues it is truncated to its leading principal part.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .contour import (
-    BlockMomentSequence,
-    MomentSequence,
     _block_probes,
     _factor_at_nodes,
     block_moments,
@@ -60,7 +57,6 @@ class HankelPencil:
     H0: np.ndarray
     H1: np.ndarray
     block_size: int = 1
-    source: Union[MomentSequence, BlockMomentSequence, None] = None
 
     def __post_init__(self):
         H0 = np.asarray(self.H0, dtype=complex)
@@ -94,32 +90,28 @@ class HankelPencil:
         """Pencil size (matrix dimension)."""
         return self.H0.shape[0]
 
-    @property
-    def block_count(self):
-        return self.H0.shape[0] // self.block_size
-
 
 def build_hankel(moms, m):
     """Assemble the m-by-m pencil from a MomentSequence with >= 2m moments."""
     if len(moms) < 2 * m:
         raise ValueError(f"need at least {2 * m} moments to build an {m}x{m} pencil, have {len(moms)}")
-    return _pencil(moms.mu[:, None, None], m, moms)
+    return _pencil(moms.mu[:, None, None], m)
 
 
 def build_block_hankel(bmoms, mt):
     """Assemble the block pencil with mt block rows from a BlockMomentSequence."""
     if len(bmoms) < 2 * mt:
         raise ValueError(f"need at least {2 * mt} block moments, have {len(bmoms)}")
-    return _pencil(bmoms.moments, mt, bmoms)
+    return _pencil(bmoms.moments, mt)
 
 
-def _pencil(moments, mt, source=None):
+def _pencil(moments, mt):
     """Block Hankel pencil with mt block rows from xi-by-xi moments (scalar: xi = 1)."""
     if mt < 1:
         raise ValueError("pencil size must be at least 1")
     H0 = np.block([[moments[i + j] for j in range(mt)] for i in range(mt)])
     H1 = np.block([[moments[i + j + 1] for j in range(mt)] for i in range(mt)])
-    return HankelPencil(H0=H0, H1=H1, block_size=moments[0].shape[0], source=source)
+    return HankelPencil(H0=H0, H1=H1, block_size=moments[0].shape[0])
 
 
 def companion_from_pencil(hp):
@@ -145,18 +137,18 @@ def companion_from_pencil(hp):
     return C
 
 
-def pencil_eigenvalues(hp, rel_tol=1e-6):
+def pencil_eigenvalues(hp):
     """Eigenvalues of the pencil H1 - lambda H0 as (value, multiplicity) clusters.
 
     The eigenvalues of the companion matrix are clustered with the base
-    relative threshold plus the defective-splitting allowance of
+    relative threshold 1e-6 plus the defective-splitting allowance of
     cluster_eigenvalues, since a multiplicity-q eigenvalue of a companion
     matrix scatters like eps**(1/q) under any backward-stable solver.
     """
     C = companion_from_pencil(hp)
     vals = np.linalg.eigvals(C)
     scale = max(1.0, float(np.linalg.norm(C, "fro")))
-    return cluster_eigenvalues(vals, rel_tol=rel_tol, scale=scale)
+    return cluster_eigenvalues(vals, scale=scale)
 
 
 def _resolve_size(P, contour, m):
@@ -198,7 +190,7 @@ def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
         return _pair_from_moments(moments, blocks, err.rank)
 
 
-def extract_block_invariant_pair(P, contour, U, V, m=None, seed=0):
+def extract_block_invariant_pair(P, contour, U, V, m=None):
     """Invariant pair (Y, T) from block moments with n-by-xi probes.
 
     `m` defaults to the enclosed-eigenvalue count; any rank deficiency of the
@@ -206,7 +198,7 @@ def extract_block_invariant_pair(P, contour, U, V, m=None, seed=0):
     """
     U, V = _block_probes(P, U, V)
     m, _, nodes = _resolve_size(P, contour, m)
-    bmoms = block_moments(P, nodes, U, V, count=2 * math.ceil(m / U.shape[1]), seed=seed)
+    bmoms = block_moments(P, nodes, U, V, count=2 * math.ceil(m / U.shape[1]))
     return _pair_from_moments(bmoms.moments, bmoms.sblocks, m)
 
 

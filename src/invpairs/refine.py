@@ -10,11 +10,10 @@ V_ell(X, S) = [X; XS; ...; XS^(ell-1)] at the iterate (Kressner 2009).  In
 the Schur basis of S the bordered system splits into k column solves of
 size n + k, at O(k (n+k)^3) instead of O((nk)^3).  newton_correction keeps
 the minimum-norm solution of the unnormalized equation through the
-Kronecker blocks [B_X B_S], assembled blockwise: one pivoted-QR
-minimum-norm solve for every Jacobian of full row rank, and below that rank
-the SVD-based lstsq, which decides the rank and warns.  It is the reference
-for the structured step and the fallback where a column system is
-singular.  The iteration then picks the step length t in [0, 2] minimizing
+Kronecker blocks [B_X B_S], assembled blockwise, by one SVD-based lstsq
+that also decides the rank and warns below nk.  It is the reference for
+the structured step and the fallback where a column system is singular.
+The iteration then picks the step length t in [0, 2] minimizing
 the squared residual along the step,
 
     p(t) = ||P(X + t dX, S + t dS)||_F^2.
@@ -40,7 +39,7 @@ from numpy.polynomial import Polynomial, polynomial
 from scipy.linalg import lu_factor, lu_solve, schur
 
 from .conditioning import (
-    _checked_pair, _ds_factors, _min_norm_solve, _powers, pair_jacobian, solvent_jacobian,
+    _checked_pair, _ds_factors, _powers, pair_jacobian, solvent_jacobian,
 )
 from .contour import Contour
 from .matpoly import InvariantPair, _as_square_complex, eval_matrix, eval_pair, eval_scalar
@@ -153,6 +152,7 @@ def frechet_apply(P, X, S, dX, dS):
 def newton_correction(P, X, S):
     """Minimum-norm least-squares solution of the pair correction equation.
 
+    One SVD-based lstsq solve of [B_X B_S] [vec dX; vec dS] = -vec P(X, S).
     Returns the correction along with the residual of the linear solve and
     the numerical rank of [B_X B_S]; a rank below nk (pair far from simple)
     warns but still returns the pseudoinverse solution.  refine_pair takes
@@ -166,14 +166,12 @@ def newton_correction(P, X, S):
     B_X, B_S = pair_jacobian(P, X, S)
     J = np.hstack([B_X, B_S])
     rhs = -eval_pair(P, (X, S)).ravel(order="F")
-    sol, rank = _min_norm_solve(J, rhs), n * k
-    if sol is None:
-        sol, _, rank, _ = np.linalg.lstsq(J, rhs, rcond=None)
-        if rank < n * k:
-            warnings.warn(
-                f"correction Jacobian has rank {rank} < {n * k}; pair is far from simple",
-                stacklevel=2,
-            )
+    sol, _, rank, _ = np.linalg.lstsq(J, rhs, rcond=None)
+    if rank < n * k:
+        warnings.warn(
+            f"correction Jacobian has rank {rank} < {n * k}; pair is far from simple",
+            stacklevel=2,
+        )
     dX = sol[: n * k].reshape((n, k), order="F")
     dS = sol[n * k:].reshape((k, k), order="F")
     return NewtonCorrection(dX, dS, float(np.linalg.norm(J @ sol - rhs)), int(rank))
@@ -238,8 +236,8 @@ def _solvent_correction(P, S):
     return None if dS is None else Q @ dS @ Q.conj().T
 
 
-def default_line_search_contour(S, nodes=128):
-    """Circle centered at the mean of eig(S) with 1.5x the spectral spread.
+def default_line_search_contour(S):
+    """Circle centered at the mean of eig(S) with 1.5x the spectral spread, 128 nodes.
 
     Any circle strictly enclosing the spectrum of S works for the step
     integrals; this one hugs the spectrum.  A unit radius is substituted
@@ -252,7 +250,7 @@ def default_line_search_contour(S, nodes=128):
     center = complex(vals.mean())
     spread = float(np.abs(vals - center).max())
     radius = 1.5 * spread if spread > 1e-8 * (1.0 + abs(center)) else 1.0
-    return Contour(center, radius, nodes)
+    return Contour(center, radius, 128)
 
 
 def _resolvent_factors(S, contour):

@@ -42,6 +42,11 @@ __all__ = [
     "verify_solvent",
 ]
 
+# Largest number of eigenpair subsets enumerate_solvents tries, and of
+# diagonal branches triangular_solvent_solve solves.
+MAX_SUBSETS = 10_000
+BRANCH_CAP = 1_000
+
 
 class SingularBasisError(ValueError):
     """The pair's X block is numerically singular, no solvent transform exists."""
@@ -125,21 +130,21 @@ def solvent_from_pair(P, pair):
     return Solvent(S_solv, float(np.linalg.norm(eval_matrix(P, S_solv), "fro")))
 
 
-def enumerate_solvents(P, eigpairs, max_subsets=10_000):
+def enumerate_solvents(P, eigpairs):
     """All solvents built from n-subsets of the given eigenpairs.
 
     For each subset with linearly independent eigenvectors w_i, the matrix
     W diag(mu_i) W^{-1} is a solvent; subsets failing the independence gate
     are reported in the second return value as index tuples.  Enumeration is
-    exhaustive in lexicographic order and refuses more than `max_subsets`
+    exhaustive in lexicographic order and refuses more than MAX_SUBSETS
     combinations.
     """
     n = P.n
     p = len(eigpairs)
     if p < n:
         raise ValueError(f"need at least n={n} eigenpairs, got {p}")
-    if math.comb(p, n) > max_subsets:
-        raise ValueError(f"{math.comb(p, n)} subsets exceed the cap of {max_subsets}")
+    if math.comb(p, n) > MAX_SUBSETS:
+        raise ValueError(f"{math.comb(p, n)} subsets exceed the cap of {MAX_SUBSETS}")
     solvents, rejected = [], []
     for idx in itertools.combinations(range(p), n):
         W = np.column_stack([np.asarray(eigpairs[i][1], dtype=complex) for i in idx])
@@ -186,7 +191,7 @@ def _distinct_roots(coeffs):
     return [val for val, _ in cluster_eigenvalues(roots, rel_tol=1e-8, scale=scale)]
 
 
-def triangular_solvent_solve(T, branch_cap=1000, zero_tol=None):
+def triangular_solvent_solve(T):
     """Upper triangular solvents of an upper triangular matrix polynomial.
 
     For every choice of diagonal entries x_ii among the distinct roots of
@@ -196,7 +201,8 @@ def triangular_solvent_solve(T, branch_cap=1000, zero_tol=None):
     a != 0 fixes the entry, a = b = 0 introduces a free parameter, and
     a = 0 with constant b != 0 is a contradiction that kills the branch.
     When b vanishes only on a hyperplane of the parameters, the constraint
-    eliminates one parameter instead.
+    eliminates one parameter instead.  A value counts as zero at or below
+    sqrt(eps) * max(1, max |entry of T_p|).
 
     The candidate S is held as an affine stack: S[0] is the constant part
     and S[1 + q] the direction of free parameter q.  An entry of span s
@@ -207,18 +213,18 @@ def triangular_solvent_solve(T, branch_cap=1000, zero_tol=None):
     entry contains a product of two parameter-dependent entries.
 
     Returns one TriangularSolventFamily per branch, in the deterministic
-    order of the root product.
+    order of the root product; more than BRANCH_CAP branches raise
+    ValueError.
     """
     C = np.array(T.coeffs)
     if np.any(np.tril(C, -1)):
         raise ValueError("all coefficients must be upper triangular")
-    if zero_tol is None:
-        zero_tol = math.sqrt(EPS) * max(1.0, float(np.abs(C).max()))
+    zero_tol = math.sqrt(EPS) * max(1.0, float(np.abs(C).max()))
 
     root_choices = [_distinct_roots(C[:, i, i]) for i in range(T.n)]
     total = math.prod(len(r) for r in root_choices)
-    if total > branch_cap:
-        raise ValueError(f"{total} diagonal branches exceed the cap of {branch_cap}")
+    if total > BRANCH_CAP:
+        raise ValueError(f"{total} diagonal branches exceed the cap of {BRANCH_CAP}")
     return [_solve_branch(C, diag, zero_tol) for diag in itertools.product(*root_choices)]
 
 

@@ -1,3 +1,4 @@
+import copy
 import importlib.resources
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from invpairs import problems
 from invpairs.cli import (
     ProblemFormatError,
+    _run_single_check,
     parse_problem,
     run_command,
     run_golden_checks,
@@ -354,3 +356,63 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert "newton_time" in lines[0]
         assert len(lines) >= 6
+
+
+
+def _expected_doc(fixture):
+    path = importlib.resources.files("invpairs") / "data" / "expected" / f"{fixture}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _inc(container, key):
+    """Add 1 to container[key]: a count, a multiplicity, or the real part of an [re, im] pair."""
+    container[key] += 1
+
+
+# (fixture, check name, perturbation of the expected value): every check kind
+# of data/expected, and an unknown kind
+_PERTURBED = {
+    "moments+1": ("diag_4x4", "golden_moments", lambda c: _inc(c["expected"][0], 0)),
+    "count+1": ("ss_2x2", "count", lambda c: _inc(c, "expected")),
+    "companion_entry+1": ("diag_4x4", "companion", lambda c: _inc(c["expected"][-1], 0)),
+    "cluster_multiplicity+1": ("diag_4x4", "clusters", lambda c: _inc(c["expected"][0], 1)),
+    "pair_X_entry+1": ("ss_2x2", "golden_pair", lambda c: _inc(c["X"][0][0], 0)),
+    "pair_S_entry+1": ("ss_2x2", "golden_pair", lambda c: _inc(c["S"][1][1], 0)),
+    "hankel_rank+1": ("multi_3x3", "H0_5x5_rank_3", lambda c: _inc(c, "expected")),
+    "block_moment_entry+1": ("multi_3x3", "block_moments", lambda c: _inc(c["expected"][1][0][1], 0)),
+    "block_pair_T_entry+1": ("multi_3x3", "block_pair_printed_probes", lambda c: _inc(c["T"][0][0], 0)),
+    "block_pair_Y_entry+1": ("multi_3x3", "block_pair_yhat_probes", lambda c: _inc(c["Y"][2][1], 0)),
+    "block_pair_multiplicity+1": ("multi_3x3", "block_pair_printed_probes",
+                                  lambda c: _inc(c["eig_clusters"][0], 1)),
+    "solvent_entry+1": ("quad_solvents_2x2", "five_solvents", lambda c: _inc(c["expected"][2][0][0], 0)),
+    "solvent_dropped": ("quad_solvents_2x2", "five_solvents", lambda c: c["expected"].pop()),
+    "rejected_subset_dropped": ("quad_solvents_2x2", "five_solvents", lambda c: c["rejected"].pop()),
+    "branch_kind_renamed": ("infinite_family_3x3_triangular", "two_branches",
+                            lambda c: c["expected"][1].update(kind="unique")),
+    "branch_direction_entry+1": ("infinite_family_3x3_triangular", "two_branches",
+                                 lambda c: _inc(c["expected"][1]["directions"][0][0][1], 0)),
+    "unknown_kind": ("ss_2x2", "count", lambda c: c.update(kind="no_such_kind")),
+}
+
+
+class TestGoldenCheckFailures:
+    """Each check kind of the golden verifier fails when its expected value is wrong."""
+
+    @pytest.mark.parametrize("case", sorted(_PERTURBED))
+    def test_perturbed_expectation_fails(self, case):
+        fixture, name, perturb = _PERTURBED[case]
+        check = next(c for c in _expected_doc(fixture)["checks"] if c["name"] == name)
+        P = problems.PROBLEMS[fixture]()
+        assert _run_single_check(P, fixture, check)[1] == "ok"
+        bad = copy.deepcopy(check)
+        perturb(bad)
+        assert _run_single_check(P, fixture, bad)[1].startswith("FAIL")
+
+    def test_every_bundled_kind_is_perturbed(self):
+        expected_dir = importlib.resources.files("invpairs") / "data" / "expected"
+        fixtures = [p.name[:-5] for p in expected_dir.iterdir() if p.name.endswith(".json")]
+        kinds = {c["kind"] for f in fixtures for c in _expected_doc(f)["checks"]}
+        assert len(kinds) == 10
+        covered = {c["kind"] for fixture, name, _ in _PERTURBED.values()
+                   for c in _expected_doc(fixture)["checks"] if c["name"] == name}
+        assert covered == kinds

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from invpairs import (
     MatrixPolynomial,
@@ -223,11 +224,13 @@ class TestNonFinite:
 
 def _gelsy_pair_kappa(P, X, S, w=None):
     """The former kappa path, kept as a reference: J^+ (L kron I) from the
-    xGELSY minimum-norm solve, then its 2-norm."""
+    xGELSY minimum-norm solve (column-pivoted QR, rank cutoff sqrt(eps)),
+    then its 2-norm.  J must have full row rank, so the solve is exact."""
     g = conditioning._gram(P, X, S, w)
     J = np.hstack(pair_jacobian(P, g.X, g.S))
-    M = conditioning._min_norm_solve(J, g.kron_factor())
-    assert M is not None
+    M, _, rank, _ = scipy.linalg.lstsq(J, g.kron_factor(), cond=math.sqrt(np.finfo(float).eps),
+                                       lapack_driver="gelsy", check_finite=False)
+    assert rank == J.shape[0]
     return np.linalg.norm(M, 2) / math.hypot(np.linalg.norm(g.X), np.linalg.norm(g.S))
 
 
@@ -376,12 +379,11 @@ class TestPairConditionNumber:
             pair_condition_number(ss_2x2, X, S)
 
     def test_nonsimple_pair_uses_pseudoinverse(self, ss_2x2):
-        # J has rank 3 < nk, so neither the R factor of J^H nor the pivoted-QR
-        # solve takes it; the SVD path must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
+        # J has rank 3 < nk, so the R factor of J^H does not take it; the SVD
+        # path must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
         X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], dtype=complex)
         S = np.zeros((3, 3), dtype=complex)
         J = np.hstack(pair_jacobian(ss_2x2, X, S))
-        assert conditioning._min_norm_solve(J, np.eye(6)) is None
         assert conditioning._r_factor_solve(J, np.eye(6)) is None
         LI = conditioning._gram(ss_2x2, X, S, None).kron_factor()
         want = np.linalg.norm(np.linalg.pinv(J) @ LI, 2) / np.linalg.norm(np.vstack([X, S]))

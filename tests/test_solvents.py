@@ -118,6 +118,14 @@ class TestEnumerateSolvents:
         with pytest.raises(ValueError, match="at least"):
             enumerate_solvents(quad_2x2, QUAD_EIGENPAIRS[:1])
 
+    def test_subset_cap_message(self):
+        # diag((lam - i)(lam - i - 8)), i = 1..8: 16 eigenpairs, C(16, 8) subsets
+        roots = np.arange(1.0, 9.0)
+        P = MatrixPolynomial([np.diag(roots * (roots + 8)), np.diag(-2 * roots - 8), np.eye(8)])
+        eigpairs = [(r + shift, np.eye(8)[i]) for shift in (0, 8) for i, r in enumerate(roots)]
+        with pytest.raises(ValueError, match=r"^12870 subsets exceed the cap of 10000$"):
+            enumerate_solvents(P, eigpairs)
+
 
 class TestVerifySolvent:
     def test_exact_solvent_passes(self, quad_2x2):
@@ -184,6 +192,12 @@ class TestTriangularSolve:
     def test_rejects_non_triangular(self, quad_2x2):
         with pytest.raises(ValueError, match="upper triangular"):
             triangular_solvent_solve(quad_2x2)
+
+    def test_branch_cap(self):
+        # (lam - 1)(lam - 2) on each of 10 diagonal entries: 2^10 branches
+        T = MatrixPolynomial([2 * np.eye(10), -3 * np.eye(10), np.eye(10)])
+        with pytest.raises(ValueError, match=r"^1024 diagonal branches exceed the cap of 1000$"):
+            triangular_solvent_solve(T)
 
     def test_member_argument_validation(self, triangular_3x3):
         families = triangular_solvent_solve(triangular_3x3)
