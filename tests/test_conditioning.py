@@ -25,7 +25,7 @@ from invpairs.conditioning import (
     solvent_perturbation_matrix,
 )
 from invpairs import conditioning, problems
-from invpairs._numeric import numerical_rank
+from invpairs._numeric import EPS, numerical_rank
 
 from conftest import GOLDEN_S_SS, GOLDEN_X_SS, QUAD_EIGENPAIRS
 
@@ -228,7 +228,7 @@ def _gelsy_pair_kappa(P, X, S, w=None):
     then its 2-norm.  J must have full row rank, so the solve is exact."""
     g = conditioning._gram(P, X, S, w)
     J = np.hstack(pair_jacobian(P, g.X, g.S))
-    M, _, rank, _ = scipy.linalg.lstsq(J, g.kron_factor(), cond=math.sqrt(np.finfo(float).eps),
+    M, _, rank, _ = scipy.linalg.lstsq(J, g.kron_factor(), cond=math.sqrt(EPS),
                                        lapack_driver="gelsy", check_finite=False)
     assert rank == J.shape[0]
     return np.linalg.norm(M, 2) / math.hypot(np.linalg.norm(g.X), np.linalg.norm(g.S))
