@@ -296,7 +296,7 @@ def _scalar_probes(P, probe_file, seed):
 def _extract(P, center, radius, nodes, probe_file, seed, m):
     """Scalar invariant pair of P inside the contour, from the command's options."""
     u, v = _scalar_probes(P, probe_file, seed)
-    return extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=m, seed=seed)
+    return extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=m)
 
 
 def _block_probes(P, xi, probe_file, seed):
@@ -342,7 +342,7 @@ def moments(problem, center, radius, nodes, nmoments, probe_file, seed, out, fmt
     """Scalar moments mu_0..mu_{K-1} of u^H P(z)^{-1} v."""
     P = parse_problem(problem)
     u, v = _scalar_probes(P, probe_file, seed)
-    moms = scalar_moments(P, Contour(center, radius, nodes), u, v, count=nmoments, seed=seed)
+    moms = scalar_moments(P, Contour(center, radius, nodes), u, v, count=nmoments)
     data = {"moments": list(moms.mu)}
     rows = [["k", "mu"]] + [[k, _fmt_complex(m)] for k, m in enumerate(moms.mu)]
     _emit(data, rows, fmt, out)

@@ -17,6 +17,11 @@ the circle.
 One LU factorization of P(z_j) per node serves both the eigenvalue count
 and the moments: the count, scalar_moments and block_moments accept either
 a Contour or the node factorization the extractors build once from it.
+The extractors count by the argument principle, as the winding number of
+det P(z_j) = (-1)^s prod u_ii read off those factors, and bisect an arc
+whose phase step is too large to trust; only where that gives up do they
+take the trace count.  count_eigenvalues_inside, and with it the `count`
+command, keeps the trace of P(z)^{-1} P'(z) and its quality indicator.
 """
 
 import math
@@ -48,6 +53,12 @@ DEFAULT_NODES = 64
 # A node where cond_1(P(phi(t_j))) exceeds this is treated as an eigenvalue
 # sitting on or next to the contour.
 NEAR_CONTOUR_CONDITION = 1e13
+
+# The winding count trusts a phase step of det P between adjacent points on
+# the circle only below this bound; a larger step may hide a full turn, so
+# its arc is bisected, at most WINDING_MAX_DEPTH times.
+WINDING_STEP_BOUND = math.pi / 2
+WINDING_MAX_DEPTH = 4
 
 
 class EigenvalueOnContourError(RuntimeError):
@@ -183,6 +194,18 @@ class _NodeFactors(NamedTuple):
     lus: list
 
 
+def _guarded_lu(P, z):
+    """LU factors of P(z) and LAPACK's estimate of cond_1(P(z)).
+
+    The caller silences LinAlgWarning and judges P(z) by the estimate.
+    """
+    Pz = eval_scalar(P, z)
+    lu = lu_factor(Pz)
+    gecon = get_lapack_funcs(("gecon",), (Pz,))[0]
+    rcond, _ = gecon(lu[0], np.linalg.norm(Pz, 1))
+    return lu, np.inf if rcond == 0 else 1.0 / rcond
+
+
 def _factor_at_nodes(P, contour):
     """LU-factor P(z_j) at every node, guarding against near-singular nodes.
 
@@ -192,18 +215,11 @@ def _factor_at_nodes(P, contour):
         return contour
     z, w = contour.points()
     lus = []
-    gecon = None
     with warnings.catch_warnings():
         # singularity is detected via the condition estimate below
         warnings.simplefilter("ignore", LinAlgWarning)
         for j, zj in enumerate(z):
-            Pz = eval_scalar(P, zj)
-            if gecon is None:
-                gecon = get_lapack_funcs(("gecon",), (Pz,))[0]
-            anorm = np.linalg.norm(Pz, 1)
-            lu = lu_factor(Pz)
-            rcond, _ = gecon(lu[0], anorm)
-            cond = np.inf if rcond == 0 else 1.0 / rcond
+            lu, cond = _guarded_lu(P, zj)
             if cond > NEAR_CONTOUR_CONDITION:
                 raise EigenvalueOnContourError(j, 2 * math.pi * j / contour.nodes, cond)
             lus.append(lu)
@@ -293,6 +309,65 @@ def count_eigenvalues_inside(P, contour):
             stacklevel=2,
         )
     return EigenvalueCount(m, quality)
+
+
+def _det_phases(lus):
+    """arg det P(z) at each LU factorization (lu, piv), up to a multiple of 2 pi.
+
+    det P(z) = (-1)^s prod u_ii with s the number of row interchanges, so
+    the phase is sum arg u_ii plus pi when s is odd.
+    """
+    diag = np.array([np.diagonal(lu) for lu, _ in lus])
+    piv = np.array([piv for _, piv in lus])
+    swaps = np.count_nonzero(piv != np.arange(piv.shape[1]), axis=1)
+    return np.angle(diag).sum(axis=1) + math.pi * (swaps % 2)
+
+
+def _arc_turn(P, contour, t0, t1, a0, a1, depth):
+    """Phase change of det P(phi(t)) from t0 to t1, given its phases a0, a1.
+
+    A step of WINDING_STEP_BOUND or more is split at the arc's midpoint,
+    which is factored like a node.  None when the depth is exhausted or the
+    midpoint is near singular.
+    """
+    step = math.remainder(a1 - a0, 2 * math.pi)
+    if abs(step) < WINDING_STEP_BOUND:
+        return step
+    if depth == WINDING_MAX_DEPTH:
+        return None
+    tm = 0.5 * (t0 + t1)
+    lu, cond = _guarded_lu(P, contour.center + contour.radius * complex(math.cos(tm), math.sin(tm)))
+    if cond > NEAR_CONTOUR_CONDITION:
+        return None
+    am = float(_det_phases([lu])[0])
+    left = _arc_turn(P, contour, t0, tm, a0, am, depth + 1)
+    right = None if left is None else _arc_turn(P, contour, tm, t1, am, a1, depth + 1)
+    return None if right is None else left + right
+
+
+def _winding_count(P, contour):
+    """Number of enclosed eigenvalues as the winding number of det P(z).
+
+    By the argument principle this equals count_eigenvalues_inside, but it
+    reads det P(z_j) off the node LU factors in O(n) per node instead of
+    solving for trace(P^{-1} P').  Each phase step between adjacent nodes
+    is reduced to [-pi, pi]; large ones are bisected (_arc_turn).
+    Returns None when bisection gives up, so the caller can fall back to
+    the trace count on the same factors.
+    """
+    nodes = _factor_at_nodes(P, contour)
+    c = nodes.contour
+    phases = _det_phases(nodes.lus)
+    dt = 2 * math.pi / c.nodes
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        for j in range(c.nodes):
+            turn = _arc_turn(P, c, j * dt, (j + 1) * dt, phases[j], phases[(j + 1) % c.nodes], 0)
+            if turn is None:
+                return None
+            total += turn
+    return round(total / (2 * math.pi))
 
 
 def residue_moment_oracle(spectrum, k):

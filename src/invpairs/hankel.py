@@ -22,6 +22,7 @@ import numpy as np
 from .contour import (
     _block_probes,
     _factor_at_nodes,
+    _winding_count,
     block_moments,
     count_eigenvalues_inside,
     scalar_moments,
@@ -153,16 +154,22 @@ def pencil_eigenvalues(hp):
 
 def _resolve_size(P, contour, m):
     """Pencil size (default: the enclosed count), whether it defaulted, and
-    the node factorization that the count and the moments share."""
+    the node factorization that the count and the moments share.
+
+    The count is the winding of det P on the node factors; the trace count
+    runs on the same factors only where the winding gives up.
+    """
     if m is not None and m < 1:
         raise ValueError("m must be at least 1")
     nodes = _factor_at_nodes(P, contour)
     if m is not None:
         return int(m), False, nodes
-    count = count_eigenvalues_inside(P, nodes)
-    if count.count < 1:
+    count = _winding_count(P, nodes)
+    if count is None:
+        count = count_eigenvalues_inside(P, nodes).count
+    if count < 1:
         raise ValueError("contour encloses no eigenvalues; nothing to extract")
-    return count.count, True, nodes
+    return count, True, nodes
 
 
 def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):

@@ -52,7 +52,7 @@ def test_refine_loops_call_the_module_line_search(monkeypatch, quad_2x2):
 
 def test_extractors_call_the_module_contour_functions(monkeypatch, multi_3x3, golden_contours):
     calls = []
-    for name in ("count_eigenvalues_inside", "scalar_moments", "block_moments"):
+    for name in ("_winding_count", "count_eigenvalues_inside", "scalar_moments", "block_moments"):
         original = getattr(hankel, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -65,10 +65,15 @@ def test_extractors_call_the_module_contour_functions(monkeypatch, multi_3x3, go
     # the scalar pencil is truncated to rank 3 on the same moments
     with pytest.warns(UserWarning, match="truncating"):
         hankel.extract_invariant_pair(multi_3x3, contour, probes["u"], probes["v"])
-    assert calls == ["count_eigenvalues_inside", "scalar_moments"]
+    assert calls == ["_winding_count", "scalar_moments"]
     calls.clear()
     hankel.extract_block_invariant_pair(multi_3x3, contour, np.array(probes["U"]), np.array(probes["V"]))
-    assert calls == ["count_eigenvalues_inside", "block_moments"]
+    assert calls == ["_winding_count", "block_moments"]
+    # where the winding gives up, the trace count runs on the same factors
+    calls.clear()
+    monkeypatch.setattr(hankel, "_winding_count", lambda P, nodes: calls.append("_winding_count"))
+    hankel.extract_block_invariant_pair(multi_3x3, contour, np.array(probes["U"]), np.array(probes["V"]))
+    assert calls == ["_winding_count", "count_eigenvalues_inside", "block_moments"]
 
 
 def test_condition_numbers_call_the_module_jacobians(monkeypatch, quad_2x2):

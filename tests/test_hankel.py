@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -397,6 +398,102 @@ class TestSharedNodeFactorization:
             with pytest.raises(EigenvalueOnContourError) as err:
                 extract()
             assert (err.value.node, err.value.t) == (counted.value.node, counted.value.t)
+
+
+def _product_polynomial(rng, spectra):
+    """E (z I - A_1) ... (z I - A_l) F with eig(A_i) = spectra[i]: det P vanishes
+    exactly at the listed values."""
+    from invpairs import MatrixPolynomial
+
+    n = len(spectra[0])
+
+    def cgauss():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    coeffs = [cgauss()]
+    for eigs in spectra:
+        W = cgauss()
+        A = W @ np.diag(eigs) @ np.linalg.inv(W)
+        coeffs = [(coeffs[k - 1] if k else 0) - (coeffs[k] @ A if k < len(coeffs) else 0)
+                  for k in range(len(coeffs) + 1)]
+    F = cgauss()
+    return MatrixPolynomial([C @ F for C in coeffs])
+
+
+def _disk_points(rng, center, lo, hi, count):
+    return center + rng.uniform(lo, hi, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def _extract_style_case(rng, n, ell, hard):
+    """Polynomial and 64-node circle with 3 eigenvalues within 0.6 radii of
+    the center, one more at 0.8-0.9 (hard inside) or 1.1-1.2 radii (hard
+    outside), and the rest at 1.5-3 radii; returns (P, contour, enclosed)."""
+    center = complex(*rng.uniform(-1.0, 1.0, 2))
+    radius = float(rng.uniform(0.5, 1.5))
+    eigs = [_disk_points(rng, center, 0.0, 0.6 * radius, 3)]
+    if hard:
+        lo, hi = (0.8, 0.9) if hard == "inside" else (1.1, 1.2)
+        eigs.append(_disk_points(rng, center, lo * radius, hi * radius, 1))
+    placed = sum(len(e) for e in eigs)
+    eigs.append(_disk_points(rng, center, 1.5 * radius, 3.0 * radius, ell * n - placed))
+    eigs = rng.permutation(np.concatenate(eigs))
+    P = _product_polynomial(rng, [eigs[i * n:(i + 1) * n] for i in range(ell)])
+    return P, Contour(center, radius), 3 + (hard == "inside")
+
+
+def _near_circle_2x2(lam):
+    """diag(z - lam, z - 0.3): one eigenvalue at 0.3, one at lam."""
+    from invpairs import MatrixPolynomial
+
+    return MatrixPolynomial([np.diag([-lam, -0.3]), np.eye(2)])
+
+
+class TestWindingCount:
+    """The extractors count by the winding of det P on the node factors."""
+
+    @pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+    def test_equals_trace_count_on_fixtures(self, name):
+        P = problems.PROBLEMS[name]()
+        contour = FIXTURE_CONTOURS[name]
+        assert contour_module._winding_count(P, contour) == count_eigenvalues_inside(P, contour).count
+
+    @pytest.mark.parametrize("hard", ["", "inside", "outside"])
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    def test_equals_trace_count_on_seeded_cases(self, n, ell, hard):
+        rng = np.random.default_rng([n, ell, len(hard)])
+        P, contour, enclosed = _extract_style_case(rng, n, ell, hard)
+        nodes = contour_module._factor_at_nodes(P, contour)
+        assert contour_module._winding_count(P, nodes) == enclosed
+        assert count_eigenvalues_inside(P, nodes).count == enclosed
+
+    def test_large_step_is_bisected(self, monkeypatch):
+        # lam sits 1e-6 outside the unit circle, halfway between nodes 0 and 1
+        P = _near_circle_2x2(1.000001 * np.exp(1j * np.pi / 8))
+        contour = Contour(0.0, 1.0, nodes=8)
+        phases = contour_module._det_phases(contour_module._factor_at_nodes(P, contour).lus)
+        assert abs(math.remainder(phases[1] - phases[0], 2 * math.pi)) >= contour_module.WINDING_STEP_BOUND
+        factored = _count_factorizations(monkeypatch)
+        assert contour_module._winding_count(P, contour) == 1
+        assert len(factored) > contour.nodes
+
+    @pytest.mark.parametrize("lam, midpoints", [
+        # off every dyadic midpoint of arc 0: bisection reaches its depth cap
+        ((1 + 1e-9) * np.exp(1j * np.pi / 12), contour_module.WINDING_MAX_DEPTH),
+        # exactly on the first midpoint of arc 0: that midpoint is singular
+        (np.exp(1j * np.pi / 8), 1),
+    ], ids=["depth-cap", "singular-midpoint"])
+    def test_gives_up_and_extractors_fall_back_to_trace(self, monkeypatch, lam, midpoints):
+        P = _near_circle_2x2(lam)
+        contour = Contour(0.0, 1.0, nodes=8)
+        factored = _count_factorizations(monkeypatch)
+        assert contour_module._winding_count(P, contour) is None
+        assert len(factored) == contour.nodes + midpoints
+        with pytest.warns(UserWarning, match="unreliable"):
+            want = count_eigenvalues_inside(P, contour).count
+        with pytest.warns(UserWarning, match="unreliable"):
+            m, defaulted, _ = hankel._resolve_size(P, contour, None)
+        assert (m, defaulted) == (want, True)
 
 
 def pencil_eigenvalues_of(T):
