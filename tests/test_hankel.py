@@ -9,6 +9,7 @@ from invpairs import (
     EigenvalueOnContourError,
     HankelPencil,
     HankelRankError,
+    MatrixPolynomial,
     build_block_hankel,
     build_hankel,
     companion_from_pencil,
@@ -403,8 +404,6 @@ class TestSharedNodeFactorization:
 def _product_polynomial(rng, spectra):
     """E (z I - A_1) ... (z I - A_l) F with eig(A_i) = spectra[i]: det P vanishes
     exactly at the listed values."""
-    from invpairs import MatrixPolynomial
-
     n = len(spectra[0])
 
     def cgauss():
@@ -443,8 +442,6 @@ def _extract_style_case(rng, n, ell, hard):
 
 def _near_circle_2x2(lam):
     """diag(z - lam, z - 0.3): one eigenvalue at 0.3, one at lam."""
-    from invpairs import MatrixPolynomial
-
     return MatrixPolynomial([np.diag([-lam, -0.3]), np.eye(2)])
 
 
