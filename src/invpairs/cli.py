@@ -27,14 +27,12 @@ from . import problems
 from .conditioning import pair_backward_error, pair_condition_number
 from .contour import (
     Contour,
-    EigenvalueOnContourError,
     block_moments,
     count_eigenvalues_inside,
     default_probe_vectors,
     scalar_moments,
 )
 from .hankel import (
-    HankelRankError,
     build_hankel,
     companion_from_pencil,
     extract_block_invariant_pair,
@@ -45,7 +43,6 @@ from .hankel import (
 from ._numeric import cluster_eigenvalues
 from .matpoly import (
     MatrixPolynomial,
-    SingularLeadingCoefficientError,
     companion_linearization,
     eval_pair,
 )
@@ -76,15 +73,10 @@ class VerificationMismatch(RuntimeError):
 
 
 # failures of the numerics (as opposed to failures to parse the request);
-# ProblemFormatError and VerificationMismatch are handled before these
-_NUMERICAL_ERRORS = (
-    SingularLeadingCoefficientError,
-    HankelRankError,
-    EigenvalueOnContourError,
-    np.linalg.LinAlgError,
-    RuntimeError,
-    ValueError,
-)
+# ProblemFormatError and VerificationMismatch are handled before these.
+# HankelRankError and EigenvalueOnContourError subclass RuntimeError, and
+# SingularLeadingCoefficientError and np.linalg.LinAlgError subclass ValueError.
+_NUMERICAL_ERRORS = (RuntimeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +644,15 @@ def _check_allclose(actual, expected, atol, desc):
     err = float(np.abs(actual - expected).max()) if actual.size else 0.0
     return desc, "ok" if err <= atol else f"FAIL max error {err:.3e} > {atol:g}"
 
-def _expected_matrix(entry):
-    return np.array([[complex(re, im) for re, im in row] for row in entry])
+
+def _first_failure(desc, checks):
+    """The first (desc, status) of `checks` whose status is not ok, else (desc, "ok")."""
+    return next((c for c in checks if c[1] != "ok"), (desc, "ok"))
+
+
+def _complex(entry):
+    """Nested [re, im] pairs (a vector, a matrix or a stack of them) as a complex array."""
+    return np.ascontiguousarray(entry, dtype=float).view(complex)[..., 0]
 
 
 def run_golden_checks():
@@ -677,24 +676,24 @@ def _run_single_check(P, fixture, check):
     if "center" in check:
         contour = Contour(complex(*check["center"]), check["radius"], check.get("nodes", 64))
     if "u" in check:
-        u, v = (np.array([complex(re, im) for re, im in check[key]]) for key in ("u", "v"))
+        u, v = _complex(check["u"]), _complex(check["v"])
     if "U" in check:
-        U, V = _expected_matrix(check["U"]), _expected_matrix(check["V"])
+        U, V = _complex(check["U"]), _complex(check["V"])
     if kind in ("companion_last_column", "pencil_clusters", "hankel_rank"):
         hp = build_hankel(scalar_moments(P, contour, u, v, count=2 * check["m"]), check["m"])
     if kind == "moments":
         moms = scalar_moments(P, contour, u, v, count=len(check["expected"]))
-        return _check_allclose(moms.mu, [complex(re, im) for re, im in check["expected"]], atol, desc)
+        return _check_allclose(moms.mu, _complex(check["expected"]), atol, desc)
     if kind == "count":
         result = count_eigenvalues_inside(P, contour)
         ok = result.count == check["expected"] and result.quality <= atol
         return desc, "ok" if ok else f"FAIL count {result.count} quality {result.quality:.2e}"
     if kind == "companion_last_column":
         C = companion_from_pencil(hp)
-        return _check_allclose(C[:, -1], [complex(re, im) for re, im in check["expected"]], atol, desc)
+        return _check_allclose(C[:, -1], _complex(check["expected"]), atol, desc)
     if kind == "pencil_clusters":
         clusters = pencil_eigenvalues(hp)
-        expected = [(complex(re, im), mult) for (re, im), mult in check["expected"]]
+        expected = [(complex(*val), mult) for val, mult in check["expected"]]
         if len(clusters) != len(expected):
             return desc, f"FAIL {len(clusters)} clusters, expected {len(expected)}"
         for (val, mult), (eval_, emult) in zip(clusters, expected):
@@ -703,50 +702,41 @@ def _run_single_check(P, fixture, check):
         return desc, "ok"
     if kind == "pair":
         result = extract_invariant_pair(P, contour, u, v, m=check["m"])
-        dX, sX = _check_allclose(result.X, _expected_matrix(check["X"]), atol, desc + ":X")
-        dS, sS = _check_allclose(result.S, _expected_matrix(check["S"]), atol, desc + ":S")
-        if sX != "ok":
-            return dX, sX
-        if sS != "ok":
-            return dS, sS
         res = float(np.linalg.norm(eval_pair(P, result), "fro") / np.linalg.norm(result.X, "fro"))
-        return desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"
+        return _first_failure(desc, [
+            _check_allclose(result.X, _complex(check["X"]), atol, desc + ":X"),
+            _check_allclose(result.S, _complex(check["S"]), atol, desc + ":S"),
+            (desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"),
+        ])
     if kind == "hankel_rank":
         rank = numerical_rank(hp.H0)
         return desc, "ok" if rank == check["expected"] else f"FAIL rank {rank}"
     if kind == "block_moments":
         bmoms = block_moments(P, contour, U, V, count=len(check["expected"]))
-        for k, exp in enumerate(check["expected"]):
-            d, s = _check_allclose(bmoms.moments[k], _expected_matrix(exp), atol, f"{desc}:M{k}")
-            if s != "ok":
-                return d, s
-        return desc, "ok"
+        return _first_failure(desc, [
+            _check_allclose(M, _complex(exp), atol, f"{desc}:M{k}")
+            for k, (M, exp) in enumerate(zip(bmoms.moments, check["expected"]))
+        ])
     if kind == "block_pair":
         result = extract_block_invariant_pair(P, contour, U, V, m=check["m"])
-        if "Y" in check:
-            d, s = _check_allclose(result.X, _expected_matrix(check["Y"]), atol, desc + ":Y")
-            if s != "ok":
-                return d, s
-        if "T" in check:
-            d, s = _check_allclose(result.S, _expected_matrix(check["T"]), atol, desc + ":T")
-            if s != "ok":
-                return d, s
         res = float(np.linalg.norm(eval_pair(P, result), "fro"))
-        if res > atol:
-            return desc, f"FAIL residual {res:.3e}"
         vals = np.linalg.eigvals(result.S)
         got = cluster_eigenvalues(vals, scale=max(1.0, float(np.linalg.norm(result.S, "fro"))))
-        expected = [(complex(re, im), mult) for (re, im), mult in check["eig_clusters"]]
+        expected = [(complex(*val), mult) for val, mult in check["eig_clusters"]]
         cluster_atol = float(check.get("cluster_atol", 1e-6))
-        if len(got) != len(expected) or any(
+        clusters_bad = len(got) != len(expected) or any(
             mult != emult or abs(val - eval_) > cluster_atol
             for (val, mult), (eval_, emult) in zip(got, expected)
-        ):
-            return desc, f"FAIL eigenvalue clusters {got}"
-        return desc, "ok"
+        )
+        return _first_failure(desc, [
+            *(_check_allclose(block, _complex(check[key]), atol, f"{desc}:{key}")
+              for key, block in (("Y", result.X), ("T", result.S)) if key in check),
+            (desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"),
+            (desc, f"FAIL eigenvalue clusters {got}" if clusters_bad else "ok"),
+        ])
     if kind == "solvent_set":
         sols, rejected = enumerate_solvents(P, _companion_eigenpairs(P))
-        expected = [_expected_matrix(s) for s in check["expected"]]
+        expected = [_complex(s) for s in check["expected"]]
         if len(sols) != len(expected):
             return desc, f"FAIL {len(sols)} solvents, expected {len(expected)}"
         used = set()
@@ -771,18 +761,18 @@ def _run_single_check(P, fixture, check):
         for fam, exp in zip(families, expected):
             if fam.kind != exp["kind"]:
                 return desc, f"FAIL branch kind {fam.kind} != {exp['kind']}"
-            if np.abs(np.array(fam.diagonal) - np.array([complex(re, im) for re, im in exp["diagonal"]])).max() > atol:
+            if np.abs(np.array(fam.diagonal) - _complex(exp["diagonal"])).max() > atol:
                 return desc, "FAIL branch diagonal"
             if fam.kind != "none":
-                d, s = _check_allclose(fam.base, _expected_matrix(exp["base"]), atol, desc)
-                if s != "ok":
-                    return d, s
-                if len(fam.directions) != len(exp.get("directions", [])):
-                    return desc, f"FAIL {len(fam.directions)} directions"
-                for D, expD in zip(fam.directions, exp.get("directions", [])):
-                    d, s = _check_allclose(D, _expected_matrix(expD), atol, desc)
-                    if s != "ok":
-                        return d, s
+                directions = exp.get("directions", [])
+                failed = _first_failure(desc, [
+                    _check_allclose(fam.base, _complex(exp["base"]), atol, desc),
+                    (desc, "ok" if len(fam.directions) == len(directions)
+                     else f"FAIL {len(fam.directions)} directions"),
+                    *(_check_allclose(D, _complex(E), atol, desc) for D, E in zip(fam.directions, directions)),
+                ])
+                if failed[1] != "ok":
+                    return failed
         return desc, "ok"
     return desc, f"FAIL unknown check kind {kind!r}"
 

@@ -13,15 +13,11 @@ with the Kronecker blocks
 
 so the condition number is ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F.  B_X and
 B_S are assembled blockwise from the stacked powers S^j, one matrix product
-each, with no Kronecker temporaries.  When J = [B_X B_S] has full row rank,
-J^+ = Q R^{-H} for the thin QR factorization J^H = Q R, and Q has
-orthonormal columns, so ||J^+ B_A||_2 = ||R^{-H} B_A||_2: J enters through
-one QR factorization (R only) and one triangular solve.  An SVD of J runs
-only when R is too ill conditioned for that (reciprocal condition estimate
-at most sqrt(eps)).  The same B_A matrix, seen as the map from scaled
-coefficient perturbations to the residual, yields the backward error as a
-minimum-norm solve, sandwiched by the closed-form bounds with ||X S^i||_F
-and sigma_min(X S^i).  Solvents are the X = I, DX = 0 specialization.
+each, with no Kronecker temporaries.  The same B_A matrix, seen as the map
+from scaled coefficient perturbations to the residual, yields the backward
+error as a minimum-norm solve, sandwiched by the closed-form bounds with
+||X S^i||_F and sigma_min(X S^i).  Solvents are the X = I, DX = 0
+specialization.
 
 B_A is never formed.  Up to a column permutation it is W^T kron I_n, where
 W stacks the blocks alpha_i X S^i (alpha_i > 0) into a (#alpha)n-by-k
@@ -32,9 +28,16 @@ matrix, so
 with a k-by-k Gram matrix G.  One thin SVD W = U diag(s) V^H gives all of
 it: the singular values of B_A are s, each repeated n times; the backward
 error is ||P(X, S) V diag(s)^-1||_F; and ||[B_X B_S]^+ B_A||_2 equals
-||[B_X B_S]^+ (L kron I_n)||_2 for L = conj(V) diag(s), which is k columns
-wide per row of the identity instead of (ell+1)n.  `perturbation_matrix`
-and `solvent_perturbation_matrix` still assemble B_A explicitly, as the
+||[B_X B_S]^+ (L kron I_n)||_2 for L = conj(V) diag(s).  When J = [B_X B_S]
+has full row rank and G is invertible, J^{+H} J^+ = (J J^H)^{-1} gives
+
+    ||J^+ (L kron I_n)||_2 = 1 / sigma_min((L^{-1} kron I_n) J),
+
+L^{-1} = diag(1/s) conj(V^H): one k-by-k product on J and its singular
+values.  Where G is rank deficient or sigma_min <= sqrt(eps) sigma_max, the
+pair falls back to an SVD of J and its pseudoinverse, the solvent to a
+dense solve (a pseudoinverse when singular).  `perturbation_matrix` and
+`solvent_perturbation_matrix` still assemble B_A explicitly, as the
 reference the tests compare against.
 """
 
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .matpoly import _as_square_complex, eval_matrix, eval_pair
 from ._numeric import EPS, numerical_rank, rank_tolerance, require_finite
@@ -208,45 +210,37 @@ def _gram(P, X, S, w):
     return _Gram(X, S, terms, s, Vh, s.size == k and bool(s[-1] > tol))
 
 
-def _r_factor_solve(J, B):
-    """R^{-H} B for the thin QR factorization J^H = Q R, or None unless J has
-    full row rank by a margin.
-
-    For such J, J^+ = Q R^{-H} and ||J^+ B||_2 = ||R^{-H} B||_2, so Q is never
-    formed.  LAPACK's trcon estimates the reciprocal condition number of the
-    triangular R; at or below sqrt(eps) the caller takes its SVD path instead.
-    """
-    R = scipy.linalg.qr(J.conj().T, mode="r", overwrite_a=True, check_finite=False)[0]
-    R = R[: J.shape[0]]
-    trcon, = scipy.linalg.get_lapack_funcs(("trcon",), (R,))
-    rcond, info = trcon(R)
-    if info != 0 or not rcond > math.sqrt(EPS):
+def _scaled_smin(g, J):
+    """sigma_min((L^{-1} kron I_n) J), or None unless G is invertible and it
+    exceeds sqrt(eps) sigma_max.  J's rows are a n + r for residual entry (r, a)."""
+    if not g.full_rank:
         return None
-    return scipy.linalg.solve_triangular(R, B, trans="C", check_finite=False)
+    K = (np.conj(g.Vh) / g.s[:, None]) @ J.reshape(g.s.size, -1)
+    sv = np.linalg.svd(K.reshape(J.shape), compute_uv=False)
+    return sv[-1] if sv[-1] > math.sqrt(EPS) * sv[0] else None
 
 
 def pair_condition_number(P, X, S, w=None):
     """Normwise condition number of a simple invariant pair.
 
     kappa = ||[B_X B_S]^+ B_A||_2 / ||[X; S]||_F, evaluated as
-    ||R^{-H} (L kron I)||_2 with R the triangular factor of [B_X B_S]^H.
-    When R is too ill conditioned for that, one SVD of [B_X B_S] gives the
-    rank test and the pseudoinverse, with numpy's pinv cutoff.  A
-    rank-deficient Jacobian (the pair is far from simple) only warns; the
-    pseudoinverse is still well defined.
+    1 / sigma_min((L^{-1} kron I) [B_X B_S]) over ||[X; S]||_F.  Where that
+    is declined, one SVD of [B_X B_S] gives the rank test and the
+    pseudoinverse, with numpy's pinv cutoff.  A rank-deficient Jacobian
+    (the pair is far from simple) only warns; the pseudoinverse is still
+    well defined.
     """
     g = _gram(P, X, S, w)
-    B_X, B_S = pair_jacobian(P, g.X, g.S)
-    J = np.hstack([B_X, B_S])
-    LI = g.kron_factor()
-    M = _r_factor_solve(J, LI)
-    if M is None:
-        U, sj, _ = np.linalg.svd(J, full_matrices=False)
-        if np.count_nonzero(sj > rank_tolerance(J, sj)) < J.shape[0]:
-            warnings.warn("[B_X B_S] is rank deficient; the pair is not simple", stacklevel=2)
-        inv = np.divide(1.0, sj, out=np.zeros_like(sj), where=sj > 1e-15 * sj[0])
-        M = inv[:, None] * (U.conj().T @ LI)
+    J = np.hstack(pair_jacobian(P, g.X, g.S))
     denom = math.hypot(np.linalg.norm(g.X, "fro"), np.linalg.norm(g.S, "fro"))
+    smin = _scaled_smin(g, J)
+    if smin is not None:
+        return float(1.0 / (smin * denom))
+    U, sj, _ = np.linalg.svd(J, full_matrices=False)
+    if np.count_nonzero(sj > rank_tolerance(J, sj)) < J.shape[0]:
+        warnings.warn("[B_X B_S] is rank deficient; the pair is not simple", stacklevel=2)
+    inv = np.divide(1.0, sj, out=np.zeros_like(sj), where=sj > 1e-15 * sj[0])
+    M = inv[:, None] * (U.conj().T @ g.kron_factor())
     return float(np.linalg.norm(M, 2) / denom)
 
 
@@ -314,22 +308,23 @@ def solvent_perturbation_matrix(P, S, w=None):
 def solvent_condition_number(P, S, w=None):
     """kappa(S) = ||Bhat_S^{-1} Bhat_A||_2 / ||S||_F for a matrix solvent.
 
-    Bhat_A enters as L kron I and Bhat_S through its triangular factor, as
-    for pairs.  When that factor is too ill conditioned, an SVD rank test
-    picks a dense solve or, for a singular Bhat_S, a warning and the
-    pseudoinverse.
+    Evaluated as 1 / sigma_min((L^{-1} kron I) Bhat_S) over ||S||_F, as for
+    pairs.  Where that is declined, an SVD rank test picks a dense solve or,
+    for a singular Bhat_S, a warning and the pseudoinverse.
     """
     g = _gram(P, np.eye(P.n, dtype=complex), S, w)
     B_S = solvent_jacobian(P, g.S)
+    denom = np.linalg.norm(g.S, "fro")
+    smin = _scaled_smin(g, B_S)
+    if smin is not None:
+        return float(1.0 / (smin * denom))
     LI = g.kron_factor()
-    M = _r_factor_solve(B_S, LI)
-    if M is None:
-        if numerical_rank(B_S) < B_S.shape[0]:
-            warnings.warn("solvent Jacobian is singular; using a pseudoinverse", stacklevel=2)
-            M = np.linalg.pinv(B_S) @ LI
-        else:
-            M = np.linalg.solve(B_S, LI)
-    return float(np.linalg.norm(M, 2) / np.linalg.norm(g.S, "fro"))
+    if numerical_rank(B_S) < B_S.shape[0]:
+        warnings.warn("solvent Jacobian is singular; using a pseudoinverse", stacklevel=2)
+        M = np.linalg.pinv(B_S) @ LI
+    else:
+        M = np.linalg.solve(B_S, LI)
+    return float(np.linalg.norm(M, 2) / denom)
 
 
 def solvent_backward_error(P, T, w=None):

@@ -47,6 +47,10 @@ __all__ = [
 MAX_SUBSETS = 10_000
 BRANCH_CAP = 1_000
 
+# Seed of the parameter draws that test an equation for products of
+# parameters; a fixed draw keeps the triangular solve deterministic.
+_SECOND_DIFFERENCE_SEED = 4127
+
 
 class SingularBasisError(ValueError):
     """The pair's X block is numerically singular, no solvent transform exists."""
@@ -258,6 +262,24 @@ def _affine_poly(C, S):
     return acc, nonlinear
 
 
+def _second_difference(C, S, i, j):
+    """|f(p + q) - f(p) - f(q) + f(0)| for f the (i, j) entry of sum_p C_p S^p
+    over the parameters of the affine stack S, at seeded random p and q.
+
+    It vanishes when f is affine, and almost surely does not otherwise.
+    """
+    rng = np.random.default_rng(_SECOND_DIFFERENCE_SEED)
+    p, q = (rng.standard_normal(len(S) - 1) + 1j * rng.standard_normal(len(S) - 1) for _ in range(2))
+
+    def f(t):
+        acc, M = C[-1], S[0] + np.tensordot(t, S[1:], 1)
+        for Cp in C[-2::-1]:
+            acc = acc @ M + Cp
+        return acc[i, j]
+
+    return abs(f(p + q) - f(p) - f(q) + f(0 * p))
+
+
 def _solve_branch(C, diag, zero_tol):
     n = len(diag)
     S = np.diag(np.asarray(diag, dtype=complex))[None]
@@ -265,7 +287,7 @@ def _solve_branch(C, diag, zero_tol):
         poly, nonlinear = _affine_poly(C, S)
         for i in range(n - span):
             j = i + span
-            if nonlinear[i, j] > 0:
+            if nonlinear[i, j] > 0 and _second_difference(C, S, i, j) > zero_tol:
                 raise NonAffineFamilyError(
                     "product of two parameter-dependent entries; "
                     "the solvent family is not affine in its free parameters"

@@ -242,9 +242,9 @@ def _conditioned(rng, n, k, cond):
 
 
 class TestRFactorPath:
-    """kappa from the R factor of J^H against the pivoted-QR path it replaced
-    (the solvent case is checked against a dense solve in TestKroneckerOracle),
-    and the SVD path where R is too ill conditioned."""
+    """kappa against the pivoted-QR path (the solvent case is checked against a
+    dense solve in TestKroneckerOracle), and the SVD path where J is too ill
+    conditioned for the smallest-singular-value identity."""
 
     @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
     @pytest.mark.parametrize("n, ell, k", [(4, 2, 3), (6, 3, 4), (9, 2, 6)])
@@ -268,23 +268,24 @@ class TestRFactorPath:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record what each _r_factor_solve call returns, and R's rcond estimate."""
+        """Record whether each _scaled_smin call declines, with R's rcond estimate
+        for the R factor of J^H."""
         seen = []
-        real = conditioning._r_factor_solve
+        real = conditioning._scaled_smin
 
-        def spy(J, B):
+        def spy(g, J):
             R = np.linalg.qr(J.conj().T, mode="r")
             rcond = 1.0 / np.linalg.cond(R, 1)
-            out = real(J, B)
+            out = real(g, J)
             seen.append((rcond, out is None))
             return out
 
-        monkeypatch.setattr(conditioning, "_r_factor_solve", spy)
+        monkeypatch.setattr(conditioning, "_scaled_smin", spy)
         return seen
 
     def test_pair_between_eps_and_sqrt_eps_takes_svd_path(self, ss_2x2, monkeypatch):
         # 1e-10 away from the rank-3 pair of test_nonsimple_pair_warns: J keeps
-        # full SVD rank nk = 6, but R is too ill conditioned for the R path
+        # full SVD rank nk = 6, but too ill conditioned for the sigma_min path
         rng = np.random.default_rng(0)
         X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]) + 1e-10 * rng.standard_normal((2, 3))
         S = 1e-10 * rng.standard_normal((3, 3))
@@ -317,6 +318,60 @@ class TestRFactorPath:
         LI = conditioning._gram(P, np.eye(2), S, None).kron_factor()
         want = np.linalg.norm(np.linalg.solve(B_S, LI), 2) / np.linalg.norm(S)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def _r_factor_kappa(J, g, denom):
+    """The former kappa path, kept as a reference: ||R^{-H} (L kron I)||_2 for
+    the thin QR factorization J^H = Q R of a J of full row rank."""
+    R = scipy.linalg.qr(J.conj().T, mode="r")[0][: J.shape[0]]
+    return np.linalg.norm(scipy.linalg.solve_triangular(R, g.kron_factor(), trans="C"), 2) / denom
+
+
+def _product_problem(rng, n):
+    """P(lambda) = (lambda I - A)(lambda I - B), which has the solvent B."""
+    A, B = _random(rng, n, n) / math.sqrt(n), _random(rng, n, n) / math.sqrt(n)
+    return MatrixPolynomial([A @ B, -(A + B), np.eye(n)]), B
+
+
+class TestSminIdentity:
+    """1 / sigma_min((L^{-1} kron I) J) against the R factor of J^H on exact
+    pairs and solvents; every case must take the sigma_min path."""
+
+    @staticmethod
+    def _taken(monkeypatch):
+        taken = []
+        real = conditioning._scaled_smin
+
+        def spy(g, J):
+            out = real(g, J)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(conditioning, "_scaled_smin", spy)
+        return taken
+
+    def test_pairs(self, monkeypatch):
+        taken = self._taken(monkeypatch)
+        for n in (20, 30, 40):
+            for k in (2, 4, 6):
+                rng = np.random.default_rng(100 * n + k)
+                P, B = _product_problem(rng, n)
+                T, U = scipy.linalg.schur(B, output="complex")
+                X, S = U[:, :k], T[:k, :k]
+                g = conditioning._gram(P, X, S, None)
+                J = np.hstack(pair_jacobian(P, g.X, g.S))
+                want = _r_factor_kappa(J, g, math.hypot(np.linalg.norm(X), np.linalg.norm(S)))
+                assert pair_condition_number(P, X, S) == pytest.approx(want, rel=1e-12), (n, k)
+        assert taken == [True] * 9
+
+    def test_solvents(self, monkeypatch):
+        taken = self._taken(monkeypatch)
+        for n in range(6, 13):
+            P, S = _product_problem(np.random.default_rng(n), n)
+            g = conditioning._gram(P, np.eye(n), S, None)
+            want = _r_factor_kappa(solvent_jacobian(P, S), g, np.linalg.norm(S))
+            assert solvent_condition_number(P, S) == pytest.approx(want, rel=1e-12), n
+        assert taken == [True] * 7
 
 
 class TestWeights:
@@ -379,12 +434,12 @@ class TestPairConditionNumber:
             pair_condition_number(ss_2x2, X, S)
 
     def test_nonsimple_pair_uses_pseudoinverse(self, ss_2x2):
-        # J has rank 3 < nk, so the R factor of J^H does not take it; the SVD
-        # path must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
+        # J has rank 3 < nk, so the sigma_min identity does not take it; the
+        # SVD path must give ||pinv(J) (L kron I)||_2 / ||[X; S]||_F
         X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], dtype=complex)
         S = np.zeros((3, 3), dtype=complex)
         J = np.hstack(pair_jacobian(ss_2x2, X, S))
-        assert conditioning._r_factor_solve(J, np.eye(6)) is None
+        assert conditioning._scaled_smin(conditioning._gram(ss_2x2, X, S, None), J) is None
         LI = conditioning._gram(ss_2x2, X, S, None).kron_factor()
         want = np.linalg.norm(np.linalg.pinv(J) @ LI, 2) / np.linalg.norm(np.vstack([X, S]))
         with pytest.warns(UserWarning, match="rank deficient"):

@@ -274,6 +274,16 @@ class TestTriangularSeeded:
         assert len(families) == 8
         _assert_members_are_solvents(T, families, np.random.default_rng(154))
 
+    @pytest.mark.parametrize("seed, want", [(275, "ff" + "-" * 30), (383, "-" * 16)], ids=["275", "383"])
+    def test_cancelling_products_are_affine(self, seed, want):
+        # the absolute-value bound sees a product of parameters at some entry,
+        # but the products cancel exactly: the entry's second difference in
+        # the parameters is roundoff, so the branch is solved, not raised
+        T = _random_triangular(seed)
+        families = triangular_solvent_solve(T)
+        assert "".join(KIND_LETTER[f.kind] for f in families) == want
+        _assert_members_are_solvents(T, families, np.random.default_rng(seed))
+
     @pytest.mark.parametrize("coeffs", [
         # (lambda - 1)(lambda - 2) I on the branch diag(1, 2, 1): entries (0, 1)
         # and (1, 2) are free, and entry (0, 2) is fixed by -x_02 + x_01 x_12 = 0
