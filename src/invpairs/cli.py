@@ -731,7 +731,7 @@ def _run_single_check(P, fixture, check):
         return _first_failure(desc, [
             *(_check_allclose(block, _complex(check[key]), atol, f"{desc}:{key}")
               for key, block in (("Y", result.X), ("T", result.S)) if key in check),
-            (desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"),
+            (desc, f"FAIL residual {res:.3e}" if res > atol else "ok"),
             (desc, f"FAIL eigenvalue clusters {got}" if clusters_bad else "ok"),
         ])
     if kind == "solvent_set":

@@ -214,7 +214,9 @@ def triangular_solvent_solve(T):
     on the stack, while the span-s entries are still zero, gives b for the
     whole superdiagonal; it is repeated only after a parameter is added or
     eliminated.  NonAffineFamilyError is raised when the equation of an
-    entry contains a product of two parameter-dependent entries.
+    entry contains a product of two parameter-dependent entries that does
+    not cancel: its second difference at seeded parameters exceeds the
+    zero tolerance.
 
     Returns one TriangularSolventFamily per branch, in the deterministic
     order of the root product; more than BRANCH_CAP branches raise

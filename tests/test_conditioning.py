@@ -337,21 +337,8 @@ class TestSminIdentity:
     """1 / sigma_min((L^{-1} kron I) J) against the R factor of J^H on exact
     pairs and solvents; every case must take the sigma_min path."""
 
-    @staticmethod
-    def _taken(monkeypatch):
-        taken = []
-        real = conditioning._scaled_smin
-
-        def spy(g, J):
-            out = real(g, J)
-            taken.append(out is not None)
-            return out
-
-        monkeypatch.setattr(conditioning, "_scaled_smin", spy)
-        return taken
-
     def test_pairs(self, monkeypatch):
-        taken = self._taken(monkeypatch)
+        seen = TestRFactorPath._spy(monkeypatch)
         for n in (20, 30, 40):
             for k in (2, 4, 6):
                 rng = np.random.default_rng(100 * n + k)
@@ -362,16 +349,16 @@ class TestSminIdentity:
                 J = np.hstack(pair_jacobian(P, g.X, g.S))
                 want = _r_factor_kappa(J, g, math.hypot(np.linalg.norm(X), np.linalg.norm(S)))
                 assert pair_condition_number(P, X, S) == pytest.approx(want, rel=1e-12), (n, k)
-        assert taken == [True] * 9
+        assert [declined for _, declined in seen] == [False] * 9
 
     def test_solvents(self, monkeypatch):
-        taken = self._taken(monkeypatch)
+        seen = TestRFactorPath._spy(monkeypatch)
         for n in range(6, 13):
             P, S = _product_problem(np.random.default_rng(n), n)
             g = conditioning._gram(P, np.eye(n), S, None)
             want = _r_factor_kappa(solvent_jacobian(P, S), g, np.linalg.norm(S))
             assert solvent_condition_number(P, S) == pytest.approx(want, rel=1e-12), n
-        assert taken == [True] * 7
+        assert [declined for _, declined in seen] == [False] * 7
 
 
 class TestWeights:
