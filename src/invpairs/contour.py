@@ -14,14 +14,19 @@ it gives the block moments M_k = U^H S_k.  The trapezoid rule converges
 exponentially here because the integrand is analytic in an annulus around
 the circle.
 
-One LU factorization of P(z_j) per node serves both the eigenvalue count
-and the moments: the count, scalar_moments and block_moments accept either
-a Contour or the node factorization the extractors build once from it.
-The extractors count by the argument principle, as the winding number of
-det P(z_j) = (-1)^s prod u_ii read off those factors, and bisect an arc
-whose phase step is too large to trust; only where that gives up do they
-take the trace count.  count_eigenvalues_inside, and with it the `count`
-command, keeps the trace of P(z)^{-1} P'(z) and its quality indicator.
+The nodes are visited in one pass that keeps no factor: P(z_j) is
+evaluated by Horner into one reused n-by-n buffer and LU-factored there in
+place, and while that factor is live the pass reads off what the callers
+need before the next node overwrites it.  For the extractors that is the
+phase of det P(z_j) = (-1)^s prod u_ii and the solve Y_j = P(z_j)^{-1} V
+against the probes, N*n*xi numbers in all, so one pass serves both the
+eigenvalue count and the moments: scalar_moments and block_moments accept
+either a Contour or the node solves the extractors take from it.  The
+extractors count by the argument principle, as the winding number of
+det P(z_j), and bisect an arc whose phase step is too large to trust; only
+where that gives up do they take the trace count, with a pass of its own.
+count_eigenvalues_inside, and with it the `count` command, keeps the trace
+of P(z)^{-1} P'(z) and its quality indicator.
 """
 
 import math
@@ -32,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
-from .matpoly import eval_derivative, eval_scalar
+from .matpoly import _horner_into, eval_derivative
 from ._numeric import numerical_rank
 
 __all__ = [
@@ -59,6 +64,8 @@ NEAR_CONTOUR_CONDITION = 1e13
 # its arc is bisected, at most WINDING_MAX_DEPTH times.
 WINDING_STEP_BOUND = math.pi / 2
 WINDING_MAX_DEPTH = 4
+
+_GECON, _GETRS = get_lapack_funcs(("gecon", "getrs"), dtype=complex)
 
 
 class EigenvalueOnContourError(RuntimeError):
@@ -185,59 +192,112 @@ def default_probe_vectors(n, seed=0):
     return tuple(probes)
 
 
-class _NodeFactors(NamedTuple):
-    """LU factors of P(z_j) at the nodes z_j, weights w_j, of a contour."""
+class _NodeSolves(NamedTuple):
+    """What one pass over a contour's nodes z_j, weights w_j, keeps: the phases
+    arg det P(z_j) and, given probes V, the solves Y[j] = P(z_j)^{-1} V."""
 
     contour: Contour
     z: np.ndarray
     w: np.ndarray
-    lus: list
+    phases: np.ndarray
+    Y: Optional[np.ndarray]
 
 
-def _guarded_lu(P, z):
-    """LU factors of P(z) and LAPACK's estimate of cond_1(P(z)).
+def _factor_in_place(buf, scratch, coeffs, z, t, node=None):
+    """LU factors of P(z), made in `buf`, and LAPACK's estimate of cond_1(P(z)).
 
-    The caller silences LinAlgWarning and judges P(z) by the estimate.
+    P(z) is evaluated into the Fortran-order buffer by Horner and factored
+    there without a copy.  `scratch`, a real n-by-n C-order array, takes
+    |P(z)| so that the column sums of the 1-norm accumulate row by row, in
+    the order np.linalg.norm uses on a C-order matrix.  A P(z) that is not
+    finite raises ValueError naming t (and the node).  The caller silences
+    LinAlgWarning and floating-point warnings and judges P(z) by the
+    estimate.
     """
-    Pz = eval_scalar(P, z)
-    lu = lu_factor(Pz)
-    gecon = get_lapack_funcs(("gecon",), (Pz,))[0]
-    rcond, _ = gecon(lu[0], np.linalg.norm(Pz, 1))
+    _horner_into(buf, coeffs, z)
+    anorm = np.abs(buf, out=scratch).sum(axis=0).max()
+    if not math.isfinite(anorm):
+        what = "has a 1-norm that overflows" if np.isfinite(buf).all() else "is not finite"
+        where = f"node {node} (t = {t:.6f})" if node is not None else f"t = {t:.6f}"
+        raise ValueError(f"P(z) {what} at {where}; scale the polynomial or shrink the contour")
+    lu = lu_factor(buf, overwrite_a=True, check_finite=False)
+    rcond, _ = _GECON(lu[0], anorm)
     return lu, np.inf if rcond == 0 else 1.0 / rcond
 
 
-def _factor_at_nodes(P, contour):
-    """LU-factor P(z_j) at every node, guarding against near-singular nodes.
+def _guarded_lu(P, z, t):
+    """_factor_in_place on fresh buffers, for a point off the node grid."""
+    n = P.n
+    return _factor_in_place(np.empty((n, n), dtype=complex, order="F"), np.empty((n, n)), P.coeffs, z, t)
 
-    An already factored contour (a _NodeFactors) is returned as it is.
+
+def _node_pass(P, z, visit):
+    """LU-factor P(z_j) at the nodes z_j = phi(2 pi j / N), calling
+    visit(j, (lu, piv)) while each factor is live.
+
+    One n-by-n buffer, filled from Fortran-order copies of the coefficients,
+    holds each node's P(z_j) and then its factor, so no factor outlives its
+    node.  A node whose condition estimate exceeds NEAR_CONTOUR_CONDITION
+    raises EigenvalueOnContourError.
     """
-    if isinstance(contour, _NodeFactors):
-        return contour
-    z, w = contour.points()
-    lus = []
-    with warnings.catch_warnings():
-        # singularity is detected via the condition estimate below
+    coeffs = [np.asfortranarray(A) for A in P.coeffs]
+    buf = np.empty((P.n, P.n), dtype=complex, order="F")
+    scratch = np.empty((P.n, P.n))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        # singularity is detected via the condition estimate, overflow via the norm
         warnings.simplefilter("ignore", LinAlgWarning)
         for j, zj in enumerate(z):
-            lu, cond = _guarded_lu(P, zj)
+            t = 2 * math.pi * j / len(z)
+            lu, cond = _factor_in_place(buf, scratch, coeffs, zj, t, j)
             if cond > NEAR_CONTOUR_CONDITION:
-                raise EigenvalueOnContourError(j, 2 * math.pi * j / contour.nodes, cond)
-            lus.append(lu)
-    return _NodeFactors(contour, z, w, lus)
+                raise EigenvalueOnContourError(j, t, cond)
+            visit(j, lu)
 
 
-def _moment_blocks(nodes, U, V, count):
+def _solve_at_nodes(P, contour, V=None):
+    """The phases of det P(z_j) and, given probes V, Y_j = P(z_j)^{-1} V, in one pass.
+
+    Node solves already taken (a _NodeSolves) are returned as they are.
+    """
+    if isinstance(contour, _NodeSolves):
+        return contour
+    phases = np.empty(contour.nodes)
+    Y = None if V is None else np.empty((contour.nodes, *V.shape), dtype=complex)
+
+    def visit(j, lu):
+        phases[j] = _det_phase(lu)
+        if Y is not None:
+            Y[j] = _GETRS(*lu, V)[0]
+
+    z, w = contour.points()
+    _node_pass(P, z, visit)
+    return _NodeSolves(contour, z, w, phases, Y)
+
+
+def _moment_blocks(nodes, U, count):
     """Moment blocks M_k = U^H S_k and S_k of P(z)^{-1} V for k < count.
 
-    One LU factorization per node serves every order: the node solves
-    Y_j = P(z_j)^{-1} V are stacked, and S_k = sum_j w_j z_j^k Y_j for all k
-    is one product with the weighted Vandermonde matrix.
+    The node solves Y_j = P(z_j)^{-1} V serve every order: S_k = sum_j
+    w_j z_j^k Y_j for all k is one product with the weighted Vandermonde
+    matrix.
     """
-    z, w = nodes.z, nodes.w
-    Y = np.stack([lu_solve(lu, V) for lu in nodes.lus])
-    W = w[:, None] * np.vander(z, count, increasing=True)
-    S = (W.T @ Y.reshape(len(z), -1)).reshape(count, *V.shape)
+    z, Y = nodes.z, nodes.Y
+    W = nodes.w[:, None] * np.vander(z, count, increasing=True)
+    S = (W.T @ Y.reshape(len(z), -1)).reshape(count, *Y.shape[1:])
     return U.conj().T @ S, S
+
+
+def _scalar_probes(P, u, v, seed):
+    """u and v as nonzero complex n-vectors, drawn by default_probe_vectors(n, seed) where None."""
+    if u is None or v is None:
+        du, dv = default_probe_vectors(P.n, seed)
+        u = du if u is None else u
+        v = dv if v is None else v
+    u = np.asarray(u, dtype=complex).reshape(P.n)
+    v = np.asarray(v, dtype=complex).reshape(P.n)
+    if not np.any(u) or not np.any(v):
+        raise ValueError("probe vectors must be nonzero")
+    return u, v
 
 
 def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
@@ -249,18 +309,11 @@ def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
     their order is BLAS's rather than node order; the result is still
     deterministic for a fixed N and fixed probes.
     """
-    if u is None or v is None:
-        du, dv = default_probe_vectors(P.n, seed)
-        u = du if u is None else u
-        v = dv if v is None else v
-    u = np.asarray(u, dtype=complex).reshape(P.n)
-    v = np.asarray(v, dtype=complex).reshape(P.n)
-    if not np.any(u) or not np.any(v):
-        raise ValueError("probe vectors must be nonzero")
+    u, v = _scalar_probes(P, u, v, seed)
     if count < 1:
         raise ValueError("need at least one moment")
-    nodes = _factor_at_nodes(P, contour)
-    M, S = _moment_blocks(nodes, u[:, None], v[:, None], count)
+    nodes = _solve_at_nodes(P, contour, v[:, None])
+    M, S = _moment_blocks(nodes, u[:, None], count)
     return MomentSequence(u=u, v=v, mu=M[:, 0, 0], contour=nodes.contour, svecs=S[:, :, 0].T)
 
 
@@ -283,8 +336,8 @@ def block_moments(P, contour, U=None, V=None, count=8):
     U, V = _block_probes(P, U, V)
     if count < 1:
         raise ValueError("need at least one moment")
-    nodes = _factor_at_nodes(P, contour)
-    M, S = _moment_blocks(nodes, U, V, count)
+    nodes = _solve_at_nodes(P, contour, V)
+    M, S = _moment_blocks(nodes, U, count)
     return BlockMomentSequence(U=U, V=V, moments=tuple(M), contour=nodes.contour, sblocks=tuple(S))
 
 
@@ -296,10 +349,14 @@ def count_eigenvalues_inside(P, contour):
     indicator; a residual above 0.1 triggers a warning to increase N or move
     the contour.
     """
-    nodes = _factor_at_nodes(P, contour)
+    z, w = contour.points()
     acc = 0.0 + 0.0j
-    for zj, wj, lu in zip(nodes.z, nodes.w, nodes.lus):
-        acc += wj * np.trace(lu_solve(lu, eval_derivative(P, zj)))
+
+    def visit(j, lu):
+        nonlocal acc
+        acc += w[j] * np.trace(lu_solve(lu, eval_derivative(P, z[j])))
+
+    _node_pass(P, z, visit)
     m = int(round(acc.real))
     quality = abs(acc - m)
     if quality > 0.1:
@@ -311,16 +368,15 @@ def count_eigenvalues_inside(P, contour):
     return EigenvalueCount(m, quality)
 
 
-def _det_phases(lus):
-    """arg det P(z) at each LU factorization (lu, piv), up to a multiple of 2 pi.
+def _det_phase(lu):
+    """arg det P(z) from its LU factorization (lu, piv), up to a multiple of 2 pi.
 
     det P(z) = (-1)^s prod u_ii with s the number of row interchanges, so
     the phase is sum arg u_ii plus pi when s is odd.
     """
-    diag = np.array([np.diagonal(lu) for lu, _ in lus])
-    piv = np.array([piv for _, piv in lus])
-    swaps = np.count_nonzero(piv != np.arange(piv.shape[1]), axis=1)
-    return np.angle(diag).sum(axis=1) + math.pi * (swaps % 2)
+    a, piv = lu
+    swaps = np.count_nonzero(piv != np.arange(len(piv)))
+    return np.angle(np.diagonal(a)).sum() + math.pi * (swaps % 2)
 
 
 def _arc_turn(P, contour, t0, t1, a0, a1, depth):
@@ -336,10 +392,10 @@ def _arc_turn(P, contour, t0, t1, a0, a1, depth):
     if depth == WINDING_MAX_DEPTH:
         return None
     tm = 0.5 * (t0 + t1)
-    lu, cond = _guarded_lu(P, contour.center + contour.radius * complex(math.cos(tm), math.sin(tm)))
+    lu, cond = _guarded_lu(P, contour.center + contour.radius * complex(math.cos(tm), math.sin(tm)), tm)
     if cond > NEAR_CONTOUR_CONDITION:
         return None
-    am = float(_det_phases([lu])[0])
+    am = float(_det_phase(lu))
     left = _arc_turn(P, contour, t0, tm, a0, am, depth + 1)
     right = None if left is None else _arc_turn(P, contour, tm, t1, am, a1, depth + 1)
     return None if right is None else left + right
@@ -349,18 +405,17 @@ def _winding_count(P, contour):
     """Number of enclosed eigenvalues as the winding number of det P(z).
 
     By the argument principle this equals count_eigenvalues_inside, but it
-    reads det P(z_j) off the node LU factors in O(n) per node instead of
-    solving for trace(P^{-1} P').  Each phase step between adjacent nodes
-    is reduced to [-pi, pi]; large ones are bisected (_arc_turn).
-    Returns None when bisection gives up, so the caller can fall back to
-    the trace count on the same factors.
+    reads det P(z_j) off each node's LU factors in O(n) instead of solving
+    for trace(P^{-1} P').  `contour` may be the node solves of a pass that
+    already took the phases.  Each phase step between adjacent nodes is
+    reduced to [-pi, pi]; large ones are bisected (_arc_turn).  Returns None
+    when bisection gives up, so the caller can fall back to the trace count.
     """
-    nodes = _factor_at_nodes(P, contour)
-    c = nodes.contour
-    phases = _det_phases(nodes.lus)
+    nodes = _solve_at_nodes(P, contour)
+    c, phases = nodes.contour, nodes.phases
     dt = 2 * math.pi / c.nodes
     total = 0.0
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", LinAlgWarning)
         for j in range(c.nodes):
             turn = _arc_turn(P, c, j * dt, (j + 1) * dt, phases[j], phases[(j + 1) % c.nodes], 0)

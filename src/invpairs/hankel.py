@@ -21,7 +21,8 @@ import numpy as np
 
 from .contour import (
     _block_probes,
-    _factor_at_nodes,
+    _scalar_probes,
+    _solve_at_nodes,
     _winding_count,
     block_moments,
     count_eigenvalues_inside,
@@ -152,21 +153,22 @@ def pencil_eigenvalues(hp):
     return cluster_eigenvalues(vals, scale=scale)
 
 
-def _resolve_size(P, contour, m):
+def _resolve_size(P, contour, V, m):
     """Pencil size (default: the enclosed count), whether it defaulted, and
-    the node factorization that the count and the moments share.
+    the node solves against the probes V that the count and the moments share.
 
-    The count is the winding of det P on the node factors; the trace count
-    runs on the same factors only where the winding gives up.
+    The count is the winding of det P, whose phases the same pass over the
+    nodes takes; only where the winding gives up does the trace count make
+    a pass of its own.
     """
     if m is not None and m < 1:
         raise ValueError("m must be at least 1")
-    nodes = _factor_at_nodes(P, contour)
+    nodes = _solve_at_nodes(P, contour, V)
     if m is not None:
         return int(m), False, nodes
     count = _winding_count(P, nodes)
     if count is None:
-        count = count_eigenvalues_inside(P, nodes).count
+        count = count_eigenvalues_inside(P, contour).count
     if count < 1:
         raise ValueError("contour encloses no eigenvalues; nothing to extract")
     return count, True, nodes
@@ -181,8 +183,9 @@ def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
     truncated to the numerical rank with a warning; an explicitly requested
     m is strict and raises HankelRankError instead.
     """
-    m, defaulted, nodes = _resolve_size(P, contour, m)
-    moms = scalar_moments(P, nodes, u, v, count=2 * m, seed=seed)
+    u, v = _scalar_probes(P, u, v, seed)
+    m, defaulted, nodes = _resolve_size(P, contour, v[:, None], m)
+    moms = scalar_moments(P, nodes, u, v, count=2 * m)
     moments, blocks = moms.mu[:, None, None], moms.svecs.T[:, :, None]
     try:
         return _pair_from_moments(moments, blocks, m)
@@ -204,7 +207,7 @@ def extract_block_invariant_pair(P, contour, U, V, m=None):
     pencil raises HankelRankError.
     """
     U, V = _block_probes(P, U, V)
-    m, _, nodes = _resolve_size(P, contour, m)
+    m, _, nodes = _resolve_size(P, contour, V, m)
     bmoms = block_moments(P, nodes, U, V, count=2 * math.ceil(m / U.shape[1]))
     return _pair_from_moments(bmoms.moments, bmoms.sblocks, m)
 

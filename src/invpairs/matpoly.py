@@ -142,11 +142,20 @@ def _pair_matrices(pair):
 
 def eval_scalar(P, lam):
     """Evaluate P(lam) by the Horner recurrence on the coefficients."""
-    lam = complex(lam)
-    acc = np.array(P.coeffs[-1])
-    for A in P.coeffs[-2::-1]:
-        acc = acc * lam + A
-    return acc
+    return _horner_into(np.empty_like(P.coeffs[-1]), P.coeffs, complex(lam))
+
+
+def _horner_into(out, coeffs, lam):
+    """P(lam) from coefficients A_0..A_ell by Horner, in place in `out`.
+
+    acc *= lam; acc += A rounds exactly like acc * lam + A but makes no
+    temporaries.  `out` may be in either memory order.
+    """
+    np.copyto(out, coeffs[-1])
+    for A in coeffs[-2::-1]:
+        out *= lam
+        out += A
+    return out
 
 
 def eval_derivative(P, lam):

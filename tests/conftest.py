@@ -47,6 +47,14 @@ def random_regular_polynomial(rng, n, ell):
     return MatrixPolynomial(coeffs)
 
 
+def horner_out_of_place(coeffs, lam):
+    """P(lam) by the Horner recurrence acc = acc * lam + A, a new array per step."""
+    acc = np.array(coeffs[-1])
+    for A in coeffs[-2::-1]:
+        acc = acc * lam + A
+    return acc
+
+
 # golden reference data shared between test modules
 
 GOLDEN_MU_4X4 = np.array([-3.0, -7.0, -9.0, -21.0 / 2, -12.0, -109.0 / 8, -123.0 / 8, -551.0 / 32])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from invpairs import problems
+from invpairs import MatrixPolynomial, problems
 from invpairs.cli import (
     ProblemFormatError,
     _run_single_check,
@@ -95,6 +95,14 @@ class TestCommands:
         assert code == 0
         assert out["count"] == 3
         assert out["quality"] <= 1e-6
+
+    def test_overflowing_node_is_a_numerical_failure(self, tmp_path, capsys):
+        P = MatrixPolynomial([np.eye(2), np.zeros((2, 2)), 1e300 * np.eye(2)])
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_problem(P, name="overflow"), encoding="utf-8")
+        code = run_command(["count", str(path), "--radius", "1e10"])
+        assert code == 2
+        assert "not finite at node 0" in capsys.readouterr().err
 
     def test_pair_command_matches_golden(self, capsys):
         code = run_command([

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from invpairs import (
     BlockMomentSequence,
     Contour,
     EigenvalueOnContourError,
+    MatrixPolynomial,
     MomentSequence,
     block_moments,
     count_eigenvalues_inside,
+    extract_block_invariant_pair,
+    extract_invariant_pair,
     residue_moment_oracle,
     scalar_moments,
 )
@@ -201,6 +206,34 @@ class TestEigenvalueCount:
         # few nodes with an eigenvalue close to the contour
         with pytest.warns(UserWarning, match="increase N"):
             count_eigenvalues_inside(ss_2x2, Contour(0.4, 0.45, nodes=8))
+
+
+def overflowing_2x2():
+    """I + 1e300 z^2 I: every entry of P(z) overflows on a circle of radius 1e10."""
+    return MatrixPolynomial([np.eye(2), np.zeros((2, 2)), 1e300 * np.eye(2)])
+
+
+class TestNonFiniteNodes:
+    """A node where P(z_j) is not finite raises a ValueError naming it, and
+    the overflow on the way issues no numpy warning."""
+
+    @pytest.mark.parametrize("call", [
+        lambda P, c: count_eigenvalues_inside(P, c),
+        lambda P, c: extract_invariant_pair(P, c, [1, 1], [1, -1]),
+        lambda P, c: extract_block_invariant_pair(P, c, np.eye(2), np.eye(2)),
+    ], ids=["count", "scalar", "block"])
+    def test_overflow_names_the_node(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"P\(z\) is not finite at node 0 \(t = 0\.000000\)"):
+                call(overflowing_2x2(), Contour(0.0, 1e10))
+
+    def test_finite_entries_whose_norm_overflows(self):
+        P = MatrixPolynomial([np.array([[1e308, 1.0], [1e308, 2.0]]), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1-norm that overflows at node 0"):
+                count_eigenvalues_inside(P, Contour(0.0, 1.0))
 
 
 class TestResidueOracle:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from invpairs import (
     Contour,
@@ -24,6 +26,7 @@ from invpairs import (
 )
 from invpairs import contour as contour_module
 from invpairs import hankel, problems
+from invpairs.matpoly import eval_derivative
 
 from conftest import (
     GOLDEN_BLOCK_T,
@@ -31,6 +34,7 @@ from conftest import (
     GOLDEN_MU_4X4,
     GOLDEN_S_SS,
     GOLDEN_X_SS,
+    horner_out_of_place,
 )
 
 U3 = np.array(problems.GOLDEN_PROBES["multi_3x3"]["U"])
@@ -341,8 +345,84 @@ def _assert_same_bits(a, b):
         assert (np.array_equal(x, y) and x.dtype == y.dtype) if isinstance(x, np.ndarray) else x == y
 
 
+def _stored_factors(P, contour):
+    """The former node loop: P(z_j) evaluated out of place and LU-factored per
+    node, with every factor kept; returns (z, w, factors)."""
+    z, w = contour.points()
+    lus = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        for j, zj in enumerate(z):
+            Pz = horner_out_of_place(P.coeffs, zj)
+            lu = lu_factor(Pz)
+            gecon = get_lapack_funcs(("gecon",), (Pz,))[0]
+            rcond, _ = gecon(lu[0], np.linalg.norm(Pz, 1))
+            cond = np.inf if rcond == 0 else 1.0 / rcond
+            if cond > contour_module.NEAR_CONTOUR_CONDITION:
+                raise EigenvalueOnContourError(j, 2 * math.pi * j / contour.nodes, cond)
+            lus.append(lu)
+    return z, w, lus
+
+
+def _det_phases(lus):
+    """arg det P(z_j) read off the whole stack of stored factors at once."""
+    diag = np.array([np.diagonal(lu) for lu, _ in lus])
+    piv = np.array([piv for _, piv in lus])
+    swaps = np.count_nonzero(piv != np.arange(piv.shape[1]), axis=1)
+    return np.angle(diag).sum(axis=1) + math.pi * (swaps % 2)
+
+
+def _stored_factor_solves(P, contour, V=None):
+    """Reference for contour._solve_at_nodes on the stored factors."""
+    if isinstance(contour, contour_module._NodeSolves):
+        return contour
+    z, w, lus = _stored_factors(P, contour)
+    Y = None if V is None else np.stack([lu_solve(lu, V) for lu in lus])
+    return contour_module._NodeSolves(contour, z, w, _det_phases(lus), Y)
+
+
+def _stored_trace_count(P, contour):
+    """Reference for count_eigenvalues_inside on the stored factors."""
+    z, w, lus = _stored_factors(P, contour)
+    acc = 0.0 + 0.0j
+    for zj, wj, lu in zip(z, w, lus):
+        acc += wj * np.trace(lu_solve(lu, eval_derivative(P, zj)))
+    m = int(round(acc.real))
+    return m, abs(acc - m)
+
+
+def _assert_pass_matches_stored_factors(monkeypatch, P, contour, U, V):
+    """Phases, trace count, moments and extracted pairs of the one-buffer node
+    pass equal, bit for bit, those read off the stack of stored factors."""
+    calls = [
+        lambda: extract_invariant_pair(P, contour),
+        lambda: extract_invariant_pair(P, contour, m=2),
+        lambda: extract_block_invariant_pair(P, contour, U, V),
+    ]
+    streamed = [_outcome(call) for call in calls]
+    assert any(isinstance(result[0], np.ndarray) for result, _ in streamed)
+    with monkeypatch.context() as m:
+        for module in (contour_module, hankel):
+            m.setattr(module, "_solve_at_nodes", _stored_factor_solves)
+        stored = [_outcome(call) for call in calls]
+        stored_moments = scalar_moments(P, contour, count=6), block_moments(P, contour, U, V, count=6)
+    for a, b in zip(streamed, stored):
+        _assert_same_bits(a, b)
+
+    a, b = contour_module._solve_at_nodes(P, contour, V), _stored_factor_solves(P, contour, V)
+    assert np.array_equal(a.phases, b.phases) and np.array_equal(a.Y, b.Y)
+    assert tuple(count_eigenvalues_inside(P, contour)) == _stored_trace_count(P, contour)
+    a, b = scalar_moments(P, contour, count=6), stored_moments[0]
+    assert a.contour == b.contour == contour
+    assert np.array_equal(a.mu, b.mu) and np.array_equal(a.svecs, b.svecs)
+    a, b = block_moments(P, contour, U, V, count=6), stored_moments[1]
+    assert a.contour == b.contour == contour
+    assert np.array_equal(a.moments, b.moments) and np.array_equal(a.sblocks, b.sblocks)
+
+
 class TestSharedNodeFactorization:
-    """The count and the moments of one extraction share one LU per node."""
+    """The count and the moments of one extraction share one pass over the
+    nodes, which factors each node once and keeps no factor."""
 
     def test_each_node_factored_once(self, monkeypatch, multi_3x3, golden_contours):
         contour = golden_contours["multi_3x3"]
@@ -364,28 +444,28 @@ class TestSharedNodeFactorization:
         contour = FIXTURE_CONTOURS[name]
         rng = np.random.default_rng(3)
         U, V = (rng.standard_normal((P.n, 2)) + 1j * rng.standard_normal((P.n, 2)) for _ in range(2))
-        calls = [
-            lambda: extract_invariant_pair(P, contour),
-            lambda: extract_invariant_pair(P, contour, m=2),
-            lambda: extract_block_invariant_pair(P, contour, U, V),
-        ]
-        shared = [_outcome(call) for call in calls]
-        assert any(isinstance(result[0], np.ndarray) for result, _ in shared)
-        # the reference path: the count and the moments each factor the nodes
-        with monkeypatch.context() as m:
-            m.setattr(hankel, "_factor_at_nodes", lambda P, contour: contour)
-            separate = [_outcome(call) for call in calls]
-        for a, b in zip(shared, separate):
-            _assert_same_bits(a, b)
+        _assert_pass_matches_stored_factors(monkeypatch, P, contour, U, V)
 
-        nodes = contour_module._factor_at_nodes(P, contour)
-        assert count_eigenvalues_inside(P, nodes) == count_eigenvalues_inside(P, contour)
-        a, b = scalar_moments(P, nodes, count=6), scalar_moments(P, contour, count=6)
-        assert a.contour == b.contour == contour
-        assert np.array_equal(a.mu, b.mu) and np.array_equal(a.svecs, b.svecs)
-        a, b = block_moments(P, nodes, U, V, count=6), block_moments(P, contour, U, V, count=6)
-        assert a.contour == b.contour == contour
-        assert np.array_equal(a.moments, b.moments) and np.array_equal(a.sblocks, b.sblocks)
+    @pytest.mark.parametrize("hard", ["", "inside", "outside"])
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    def test_pass_changes_no_bits_on_seeded_cases(self, monkeypatch, n, ell, hard):
+        rng = np.random.default_rng([n, ell, len(hard)])
+        P, contour, _ = _extract_style_case(rng, n, ell, hard)
+        U, V = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for _ in range(2))
+        _assert_pass_matches_stored_factors(monkeypatch, P, contour, U, V)
+
+    def test_extraction_keeps_no_node_factors(self):
+        # the former path kept all N factors, 64 n^2 complex numbers
+        P, contour, _ = _extract_style_case(np.random.default_rng([100, 2]), 100, 2, "")
+        u, v = contour_module.default_probe_vectors(P.n, 1)
+        tracemalloc.start()
+        try:
+            extract_invariant_pair(P, contour, u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * P.n ** 2 * np.dtype(complex).itemsize
 
     def test_node_on_eigenvalue_raises_from_both_extractors(self, ss_2x2):
         # node 4 of this circle sits on the eigenvalue 0
@@ -399,6 +479,27 @@ class TestSharedNodeFactorization:
             with pytest.raises(EigenvalueOnContourError) as err:
                 extract()
             assert (err.value.node, err.value.t) == (counted.value.node, counted.value.t)
+
+
+    def test_on_contour_error_matches_stored_factors(self):
+        # an eigenvalue on node 5 of a dense n = 50 problem: the error's cond
+        # depends on the exact 1-norm of P(z_5), whose column sums must
+        # accumulate in the former order
+        rng = np.random.default_rng(0)
+        contour = Contour(0.2, 0.9)
+        z5 = contour.points()[0][5]
+        far = [_disk_points(rng, 0.2, 2.0, 3.0, 49), _disk_points(rng, 0.2, 2.0, 3.0, 50)]
+        P = _product_polynomial(rng, [np.r_[z5, far[0]], far[1]])
+        with pytest.raises(EigenvalueOnContourError) as want:
+            _stored_factors(P, contour)
+        assert want.value.node == 5
+        U = np.eye(50)[:, :2]
+        for call in (lambda: count_eigenvalues_inside(P, contour),
+                     lambda: extract_invariant_pair(P, contour),
+                     lambda: extract_block_invariant_pair(P, contour, U, U)):
+            with pytest.raises(EigenvalueOnContourError) as err:
+                call()
+            assert (err.value.node, err.value.t, err.value.cond) == (want.value.node, want.value.t, want.value.cond)
 
 
 def _product_polynomial(rng, spectra):
@@ -446,7 +547,7 @@ def _near_circle_2x2(lam):
 
 
 class TestWindingCount:
-    """The extractors count by the winding of det P on the node factors."""
+    """The extractors count by the winding of det P, read off each node's factors."""
 
     @pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
     def test_equals_trace_count_on_fixtures(self, name):
@@ -460,15 +561,15 @@ class TestWindingCount:
     def test_equals_trace_count_on_seeded_cases(self, n, ell, hard):
         rng = np.random.default_rng([n, ell, len(hard)])
         P, contour, enclosed = _extract_style_case(rng, n, ell, hard)
-        nodes = contour_module._factor_at_nodes(P, contour)
+        nodes = contour_module._solve_at_nodes(P, contour)
         assert contour_module._winding_count(P, nodes) == enclosed
-        assert count_eigenvalues_inside(P, nodes).count == enclosed
+        assert count_eigenvalues_inside(P, contour).count == enclosed
 
     def test_large_step_is_bisected(self, monkeypatch):
         # lam sits 1e-6 outside the unit circle, halfway between nodes 0 and 1
         P = _near_circle_2x2(1.000001 * np.exp(1j * np.pi / 8))
         contour = Contour(0.0, 1.0, nodes=8)
-        phases = contour_module._det_phases(contour_module._factor_at_nodes(P, contour).lus)
+        phases = contour_module._solve_at_nodes(P, contour).phases
         assert abs(math.remainder(phases[1] - phases[0], 2 * math.pi)) >= contour_module.WINDING_STEP_BOUND
         factored = _count_factorizations(monkeypatch)
         assert contour_module._winding_count(P, contour) == 1
@@ -489,7 +590,7 @@ class TestWindingCount:
         with pytest.warns(UserWarning, match="unreliable"):
             want = count_eigenvalues_inside(P, contour).count
         with pytest.warns(UserWarning, match="unreliable"):
-            m, defaulted, _ = hankel._resolve_size(P, contour, None)
+            m, defaulted, _ = hankel._resolve_size(P, contour, np.ones((2, 1), dtype=complex), None)
         assert (m, defaulted) == (want, True)
 
 

@@ -14,8 +14,9 @@ from invpairs import (
     minimality_index,
 )
 from invpairs.hankel import numerical_rank
+from invpairs.matpoly import _horner_into
 
-from conftest import GOLDEN_S_SS, GOLDEN_X_SS
+from conftest import GOLDEN_S_SS, GOLDEN_X_SS, horner_out_of_place
 
 
 class TestConstruction:
@@ -85,6 +86,23 @@ class TestEvalScalar:
         naive = sum(A * lam ** j for j, A in enumerate(coeffs))
         scale = max(np.linalg.norm(naive), 1.0)
         assert np.linalg.norm(eval_scalar(P, lam) - naive) / scale <= 1e-13
+
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_in_place_horner_matches_out_of_place_bits(self, ell):
+        rng = np.random.default_rng([17, ell])
+        P = MatrixPolynomial([rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+                              for _ in range(ell + 1)])
+        before = [A.copy() for A in P.coeffs]
+        for lam in rng.standard_normal(4) + 1j * rng.standard_normal(4):
+            got = eval_scalar(P, lam)
+            want = horner_out_of_place(P.coeffs, complex(lam))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # the same recurrence into a Fortran-order buffer, as the node pass runs it
+            buf = np.empty((13, 13), dtype=complex, order="F")
+            assert np.array_equal(_horner_into(buf, P.coeffs, complex(lam)), want)
+        for A, B in zip(P.coeffs, before):
+            assert not A.flags.writeable and np.array_equal(A, B)
 
 
 class TestEvalDerivative:
