@@ -105,12 +105,8 @@ def _parse_matrix(rows, n, where):
     return out
 
 
-def parse_problem(path):
-    """Load a MatrixPolynomial from a JSON problem file.
-
-    Malformed files raise ProblemFormatError naming the offending
-    coefficient, row and column.
-    """
+def _read_json_object(path):
+    """The JSON object in a UTF-8 file; ProblemFormatError for invalid JSON or another top level."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -119,6 +115,16 @@ def parse_problem(path):
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{path}: top level must be an object")
+    return doc
+
+
+def parse_problem(path):
+    """Load a MatrixPolynomial from a JSON problem file.
+
+    Malformed files raise ProblemFormatError naming the offending
+    coefficient, row and column.
+    """
+    doc = _read_json_object(path)
     for key in ("n", "degree", "coeffs"):
         if key not in doc:
             raise ProblemFormatError(f"{path}: missing field '{key}'")
@@ -138,8 +144,10 @@ def parse_problem(path):
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
-def _complex_pairs(matrix):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
+def _complex_pairs(a):
+    """A complex array of any rank as nested lists with [re, im] pairs innermost."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def serialize_problem(P, name=None, description=None):
@@ -152,19 +160,13 @@ def serialize_problem(P, name=None, description=None):
     doc.update({
         "n": P.n,
         "degree": P.degree,
-        "coeffs": [_complex_pairs(A) for A in P.coeffs],
+        "coeffs": _complex_pairs(P.coeffs),
     })
     return json.dumps(doc, indent=2) + "\n"
 
 
 def _load_probes(path, n):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ProblemFormatError(f"{path}: top level must be an object")
+    doc = _read_json_object(path)
     out = {}
     for key in ("u", "v"):
         if key in doc:
@@ -196,9 +198,7 @@ def _json_value(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return _complex_pairs(obj) if obj.ndim == 2 else [[float(z.real), float(z.imag)] for z in obj]
-        return obj.tolist()
+        return _complex_pairs(obj) if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, dict):
         return {k: _json_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -206,6 +206,11 @@ def _json_value(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _matrix_rows(lead, M):
+    """CSV rows lead + [r] + the entries of row r, one per row of the matrix M."""
+    return [[*lead, r] + [_fmt_complex(z) for z in row] for r, row in enumerate(M)]
 
 
 def _emit(data, csv_rows, fmt, out):
@@ -340,14 +345,16 @@ def moments(problem, center, radius, nodes, nmoments, probe_file, seed, out, fmt
     _emit(data, rows, fmt, out)
 
 
+def _relative_residual(P, pair):
+    """||P(X, S)||_F / ||X||_F of an invariant pair."""
+    return float(np.linalg.norm(eval_pair(P, pair), "fro") / np.linalg.norm(pair.X, "fro"))
+
+
 def _pair_output(P, pair, fmt, out):
-    res = float(np.linalg.norm(eval_pair(P, pair), "fro") / np.linalg.norm(pair.X, "fro"))
+    res = _relative_residual(P, pair)
     data = {"X": pair.X, "S": pair.S, "relative_residual": res}
-    rows = [["matrix", "row", "entries"]]
-    for name, mat in (("X", pair.X), ("S", pair.S)):
-        for r in range(mat.shape[0]):
-            rows.append([name, r] + [_fmt_complex(z) for z in mat[r]])
-    rows.append(["relative_residual", "", repr(res)])
+    rows = [["matrix", "row", "entries"], *_matrix_rows(["X"], pair.X), *_matrix_rows(["S"], pair.S),
+            ["relative_residual", "", repr(res)]]
     _emit(data, rows, fmt, out)
 
 
@@ -388,11 +395,10 @@ def refine(problem, center, radius, nodes, size, probe_file, seed, perturb, tol,
     """Extract a pair, optionally perturb it, and refine it by Newton."""
     P = parse_problem(problem)
     start = _extract(P, center, radius, nodes, probe_file, seed, size)
-    X, S = np.array(start.X), np.array(start.S)
+    X, S = start.X, start.S
     if perturb:
         rng = np.random.default_rng(seed)
-        X += perturb * np.linalg.norm(X) * _unit_noise(rng, X.shape)
-        S += perturb * np.linalg.norm(S) * _unit_noise(rng, S.shape)
+        X, S = _perturbed(rng, perturb, X), _perturbed(rng, perturb, S)
     refined, report = refine_pair(P, X, S, tol=tol, maxit=maxit, line_search=not no_line_search)
     data = {
         "iterations": report.iterations,
@@ -408,9 +414,12 @@ def refine(problem, center, radius, nodes, size, probe_file, seed, perturb, tol,
     _emit(data, rows, fmt, out)
 
 
-def _unit_noise(rng, shape):
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return noise / np.linalg.norm(noise)
+def _perturbed(rng, scale, M):
+    """A copy of M plus scale * ||M||_F times seeded complex noise of unit norm."""
+    M = np.array(M, dtype=complex)
+    noise = rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape)
+    M += scale * np.linalg.norm(M) * (noise / np.linalg.norm(noise))
+    return M
 
 
 @cli.command()
@@ -456,11 +465,8 @@ def solvent(problem, center, radius, nodes, probe_file, seed, tol, out, fmt):
         "eigenpair_residuals": list(check.eigenpair_residuals),
         "certified": check.certified,
     }
-    rows = [["row", "entries"]]
-    for r in range(sol.S.shape[0]):
-        rows.append([r] + [_fmt_complex(z) for z in sol.S[r]])
-    rows.append(["residual", repr(sol.residual)])
-    rows.append(["certified", check.certified])
+    rows = [["row", "entries"], *_matrix_rows([], sol.S),
+            ["residual", repr(sol.residual)], ["certified", check.certified]]
     _emit(data, rows, fmt, out)
 
 
@@ -485,8 +491,7 @@ def enumerate_cmd(problem, out, fmt):
     }
     rows = [["solvent", "row", "entries"]]
     for i, s in enumerate(solvents):
-        for r in range(s.S.shape[0]):
-            rows.append([i, r] + [_fmt_complex(z) for z in s.S[r]])
+        rows += _matrix_rows([i], s.S)
     for r in rejected:
         rows.append(["rejected", "", " ".join(str(i) for i in r)])
     _emit(data, rows, fmt, out)
@@ -511,11 +516,9 @@ def triangular(problem, out, fmt):
         if fam.base is None:
             rows.append([b, fam.kind, diag_txt, "", "", ""])
             continue
-        for r in range(fam.base.shape[0]):
-            rows.append([b, fam.kind, diag_txt, "base", r] + [_fmt_complex(z) for z in fam.base[r]])
+        rows += _matrix_rows([b, fam.kind, diag_txt, "base"], fam.base)
         for d, D in enumerate(fam.directions):
-            for r in range(D.shape[0]):
-                rows.append([b, fam.kind, diag_txt, f"direction{d}", r] + [_fmt_complex(z) for z in D[r]])
+            rows += _matrix_rows([b, fam.kind, diag_txt, f"direction{d}"], D)
     _emit(data, rows, fmt, out)
 
 
@@ -533,26 +536,15 @@ def _bench_corpus(seed):
     rows = []
 
     def perturbed(name, P, X, S, scale):
-        X = np.array(X, dtype=complex)
-        S = np.array(S, dtype=complex)
-        X += scale * np.linalg.norm(X) * _unit_noise(rng, X.shape)
-        S += scale * np.linalg.norm(S) * _unit_noise(rng, S.shape)
-        rows.append((name, P, X, S))
+        rows.append((name, P, _perturbed(rng, scale, X), _perturbed(rng, scale, S)))
 
     g = problems.GOLDEN_PROBES
-    P4 = problems.diag_4x4()
-    spec4 = g["diag_4x4"]
-    pair4 = extract_invariant_pair(P4, Contour(spec4["center"], spec4["radius"]),
-                                   spec4["u"], spec4["v"], m=spec4["m"])
-    perturbed("diag_4x4_eps1e-3", P4, pair4.X, pair4.S, 1e-3)
-    perturbed("diag_4x4_eps5e-2", P4, pair4.X, pair4.S, 5e-2)
-
-    P2 = problems.ss_2x2()
-    spec2 = g["ss_2x2"]
-    pair2 = extract_invariant_pair(P2, Contour(spec2["center"], spec2["radius"]),
-                                   spec2["u"], spec2["v"], m=spec2["m"])
-    perturbed("ss_2x2_eps1e-3", P2, pair2.X, pair2.S, 1e-3)
-    perturbed("ss_2x2_eps1e-1", P2, pair2.X, pair2.S, 1e-1)
+    for fixture, scales in (("diag_4x4", ("1e-3", "5e-2")), ("ss_2x2", ("1e-3", "1e-1"))):
+        P, spec = problems.PROBLEMS[fixture](), g[fixture]
+        pair = extract_invariant_pair(P, Contour(spec["center"], spec["radius"]), spec["u"], spec["v"],
+                                      m=spec["m"])
+        for eps in scales:
+            perturbed(f"{fixture}_eps{eps}", P, pair.X, pair.S, float(eps))
 
     P3 = problems.multi_3x3()
     spec3 = g["multi_3x3"]
@@ -616,18 +608,11 @@ def bench(seed, tol, maxit, verify, out, fmt):
             raise VerificationMismatch(f"{failures} golden check(s) failed")
         return
     records = _run_bench(seed, tol, maxit)
-    header = ["problem", "n", "k", "newton_iterations", "newton_converged", "newton_time",
-              "line_search_iterations", "line_search_converged", "line_search_time"]
-    rows = [header]
-    for rec in records:
-        rows.append([rec["problem"], rec["n"], rec["k"],
-                     rec["newton_iterations"], rec["newton_converged"],
-                     f"{rec['newton_time']:.4f}",
-                     rec["line_search_iterations"], rec["line_search_converged"],
-                     f"{rec['line_search_time']:.4f}"])
-    # wall times stay out of the JSON document so that identical inputs give
-    # byte-identical output
-
+    # CSV leaves out the final residuals; wall times stay out of the JSON
+    # document so that identical inputs give byte-identical output
+    header = [key for key in records[0] if not key.endswith("_final_residual")]
+    rows = [header] + [[f"{rec[key]:.4f}" if key.endswith("_time") else rec[key] for key in header]
+                       for rec in records]
     json_records = [{k: v for k, v in rec.items() if not k.endswith("_time")} for rec in records]
     _emit({"records": json_records}, rows, fmt, out)
 
@@ -702,7 +687,7 @@ def _run_single_check(P, fixture, check):
         return desc, "ok"
     if kind == "pair":
         result = extract_invariant_pair(P, contour, u, v, m=check["m"])
-        res = float(np.linalg.norm(eval_pair(P, result), "fro") / np.linalg.norm(result.X, "fro"))
+        res = _relative_residual(P, result)
         return _first_failure(desc, [
             _check_allclose(result.X, _complex(check["X"]), atol, desc + ":X"),
             _check_allclose(result.S, _complex(check["S"]), atol, desc + ":S"),

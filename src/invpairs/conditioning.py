@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matpoly import _as_square_complex, eval_matrix, eval_pair
+from .matpoly import _as_square_complex, _powers, eval_matrix, eval_pair
 from ._numeric import EPS, numerical_rank, rank_tolerance, require_finite
 
 __all__ = [
@@ -102,15 +102,6 @@ def _weights_for(P, w):
     if len(w) != P.degree + 1:
         raise ValueError(f"need {P.degree + 1} weights, got {len(w)}")
     return w
-
-
-def _powers(S, ell):
-    k = S.shape[0]
-    pows = np.empty((ell + 1, k, k), dtype=complex)
-    pows[0] = np.eye(k)
-    for j in range(ell):
-        pows[j + 1] = pows[j] @ S
-    return pows
 
 
 def _kron_sum(F, G):

@@ -26,7 +26,8 @@ extractors count by the argument principle, as the winding number of
 det P(z_j), and bisect an arc whose phase step is too large to trust; only
 where that gives up do they take the trace count, with a pass of its own.
 count_eigenvalues_inside, and with it the `count` command, keeps the trace
-of P(z)^{-1} P'(z) and its quality indicator.
+of P(z)^{-1} P'(z) and its quality indicator.  Every solve on a live
+factor, Y_j and P(z_j)^{-1} P'(z_j) alike, is one LAPACK getrs call on it.
 """
 
 import math
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
 from .matpoly import _horner_into, eval_derivative
 from ._numeric import numerical_rank
@@ -225,12 +226,6 @@ def _factor_in_place(buf, scratch, coeffs, z, t, node=None):
     return lu, np.inf if rcond == 0 else 1.0 / rcond
 
 
-def _guarded_lu(P, z, t):
-    """_factor_in_place on fresh buffers, for a point off the node grid."""
-    n = P.n
-    return _factor_in_place(np.empty((n, n), dtype=complex, order="F"), np.empty((n, n)), P.coeffs, z, t)
-
-
 def _node_pass(P, z, visit):
     """LU-factor P(z_j) at the nodes z_j = phi(2 pi j / N), calling
     visit(j, (lu, piv)) while each factor is live.
@@ -354,7 +349,7 @@ def count_eigenvalues_inside(P, contour):
 
     def visit(j, lu):
         nonlocal acc
-        acc += w[j] * np.trace(lu_solve(lu, eval_derivative(P, z[j])))
+        acc += w[j] * np.trace(_GETRS(*lu, eval_derivative(P, z[j]))[0])
 
     _node_pass(P, z, visit)
     m = int(round(acc.real))
@@ -383,8 +378,8 @@ def _arc_turn(P, contour, t0, t1, a0, a1, depth):
     """Phase change of det P(phi(t)) from t0 to t1, given its phases a0, a1.
 
     A step of WINDING_STEP_BOUND or more is split at the arc's midpoint,
-    which is factored like a node.  None when the depth is exhausted or the
-    midpoint is near singular.
+    which is factored like a node, in buffers of its own.  None when the
+    depth is exhausted or the midpoint is near singular.
     """
     step = math.remainder(a1 - a0, 2 * math.pi)
     if abs(step) < WINDING_STEP_BOUND:
@@ -392,7 +387,9 @@ def _arc_turn(P, contour, t0, t1, a0, a1, depth):
     if depth == WINDING_MAX_DEPTH:
         return None
     tm = 0.5 * (t0 + t1)
-    lu, cond = _guarded_lu(P, contour.center + contour.radius * complex(math.cos(tm), math.sin(tm)), tm)
+    zm = contour.center + contour.radius * complex(math.cos(tm), math.sin(tm))
+    buf = np.empty((P.n, P.n), dtype=complex, order="F")
+    lu, cond = _factor_in_place(buf, np.empty((P.n, P.n)), P.coeffs, zm, tm)
     if cond > NEAR_CONTOUR_CONDITION:
         return None
     am = float(_det_phase(lu))

@@ -168,6 +168,16 @@ def eval_derivative(P, lam):
     return acc
 
 
+def _powers(S, ell):
+    """The stack S^0, S^1, ..., S^ell of a square S, shaped (ell + 1, k, k)."""
+    k = S.shape[0]
+    pows = np.empty((ell + 1, k, k), dtype=complex)
+    pows[0] = np.eye(k)
+    for j in range(ell):
+        pows[j + 1] = pows[j] @ S
+    return pows
+
+
 def eval_pair(P, pair):
     """Residual matrix P(X, S) = sum_j A_j X S^j of a candidate pair.
 
@@ -191,9 +201,13 @@ def eval_pair(P, pair):
 
 def eval_matrix(P, S):
     """Evaluate P at a square matrix argument: P(S) = sum_j A_j S^j."""
-    S = _as_square_complex(S, P.n, what="S")
-    acc = np.array(P.coeffs[-1])
-    for A in P.coeffs[-2::-1]:
+    return _horner_at_matrix(P.coeffs, _as_square_complex(S, P.n, what="S"))
+
+
+def _horner_at_matrix(coeffs, S):
+    """sum_j A_j S^j from coefficients A_0..A_ell (ell >= 1) by Horner."""
+    acc = coeffs[-1]
+    for A in coeffs[-2::-1]:
         acc = acc @ S + A
     return acc
 

@@ -35,14 +35,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import Polynomial, polynomial
+from numpy.polynomial import polynomial
 from scipy.linalg import lu_factor, lu_solve, schur
 
-from .conditioning import (
-    _checked_pair, _ds_factors, _powers, pair_jacobian, solvent_jacobian,
-)
+from .conditioning import _checked_pair, _ds_factors, pair_jacobian, solvent_jacobian
 from .contour import Contour
-from .matpoly import InvariantPair, _as_square_complex, eval_matrix, eval_pair, eval_scalar
+from .matpoly import InvariantPair, _as_square_complex, _powers, eval_matrix, eval_pair, eval_scalar
 from .solvents import Solvent
 from ._numeric import require_finite
 
@@ -325,11 +323,15 @@ def minimize_step(poly):
     scale = float(np.abs(coeffs).max())
     candidates = [1.0, 2.0]
     if scale > 0:
-        dp = Polynomial(coeffs).deriv()
-        trimmed = dp.trim(tol=1e-14 * scale)
-        for r in np.atleast_1d(trimmed.roots()):
-            if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and -1e-12 <= r.real <= 2.0:
-                candidates.append(min(max(float(r.real), 0.0), 2.0))
+        dp = polynomial.polyder(coeffs)
+        # trailing coefficients at or below the tolerance are dropped, as trimcoef does
+        kept = np.nonzero(np.abs(dp) > 1e-14 * scale)[0]
+        for r in polynomial.polyroots(dp[:kept[-1] + 1]) if kept.size else ():
+            # adding 0.0 turns a -0.0 real part into +0.0, as Polynomial.roots does
+            # by mapping through its domain; the chosen step length is printed
+            re = r.real + 0.0
+            if abs(r.imag) <= 1e-8 * (1.0 + abs(re)) and -1e-12 <= re <= 2.0:
+                candidates.append(min(max(float(re), 0.0), 2.0))
     values = poly(np.array(candidates))
     best = float(values.min())
     tie = best + 1e-12 * (1.0 + abs(best))

@@ -24,7 +24,9 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .matpoly import MatrixPolynomial, companion_linearization, eval_matrix, eval_scalar
+from .matpoly import (
+    MatrixPolynomial, _horner_at_matrix, _powers, companion_linearization, eval_matrix, eval_scalar,
+)
 from ._numeric import EPS, cluster_eigenvalues, numerical_rank, require_finite
 
 __all__ = [
@@ -118,6 +120,11 @@ class TriangularSolventFamily:
         return out
 
 
+def _similarity(X, D):
+    """X D X^{-1}, by a transposed solve instead of an inverse."""
+    return np.linalg.solve(X.T, (X @ D).T).T
+
+
 def solvent_from_pair(P, pair):
     """Solvent X S X^{-1} of an invariant pair with square invertible X."""
     X, S = np.asarray(pair.X, dtype=complex), np.asarray(pair.S, dtype=complex)
@@ -129,8 +136,7 @@ def solvent_from_pair(P, pair):
         raise SingularBasisError(
             f"X is too ill conditioned to invert (condition estimate {cond:.3e})"
         )
-    # S_solv = X S X^{-1}, via a transposed solve instead of an inverse
-    S_solv = np.linalg.solve(X.T, (X @ S).T).T
+    S_solv = _similarity(X, S)
     return Solvent(S_solv, float(np.linalg.norm(eval_matrix(P, S_solv), "fro")))
 
 
@@ -155,8 +161,7 @@ def enumerate_solvents(P, eigpairs):
         if numerical_rank(W) < n:
             rejected.append(idx)
             continue
-        D = np.diag([complex(eigpairs[i][0]) for i in idx])
-        S = np.linalg.solve(W.T, (W @ D).T).T
+        S = _similarity(W, np.diag([complex(eigpairs[i][0]) for i in idx]))
         solvents.append(Solvent(S, float(np.linalg.norm(eval_matrix(P, S), "fro"))))
     return solvents, rejected
 
@@ -274,10 +279,7 @@ def _second_difference(C, S, i, j):
     p, q = (rng.standard_normal(len(S) - 1) + 1j * rng.standard_normal(len(S) - 1) for _ in range(2))
 
     def f(t):
-        acc, M = C[-1], S[0] + np.tensordot(t, S[1:], 1)
-        for Cp in C[-2::-1]:
-            acc = acc @ M + Cp
-        return acc[i, j]
+        return _horner_at_matrix(C, S[0] + np.tensordot(t, S[1:], 1))[i, j]
 
     return abs(f(p + q) - f(p) - f(q) + f(0 * p))
 
@@ -340,7 +342,7 @@ def solvent_from_triangular(P, M, S_t, tol=1e-8):
         raise SingularTransformationError("transformation M is numerically singular")
 
     A = companion_linearization(P)
-    B = M @ A @ np.linalg.inv(M)
+    B = _similarity(M, A)
     # B must carry the block companion pattern of T; its bottom row gives -T_j
     scale = max(1.0, float(np.abs(B).max()))
     if ell > 1:
@@ -355,10 +357,7 @@ def solvent_from_triangular(P, M, S_t, tol=1e-8):
     if t_res > tol * max(1.0, float(np.linalg.norm(S_t, "fro"))):
         raise ValueError(f"S_t is not a solvent of the triangularized form (residual {t_res:.3e})")
 
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(ell - 1):
-        powers.append(powers[-1] @ S_t)
-    Y = np.linalg.solve(M, np.vstack(powers))
+    Y = np.linalg.solve(M, _powers(S_t, ell - 1).reshape(ell * n, n))
     Y1 = Y[:n, :]
     cond = np.linalg.cond(Y1)
     if not cond < 1.0 / math.sqrt(EPS):
@@ -366,7 +365,7 @@ def solvent_from_triangular(P, M, S_t, tol=1e-8):
             f"leading block Y_1 is numerically singular (condition estimate {cond:.3e}); "
             "pick a different member of the solvent family"
         )
-    S = Y1 @ S_t @ np.linalg.inv(Y1)
+    S = _similarity(Y1, S_t)
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro"))
     if residual > tol:
         raise ValueError(f"recovered matrix fails P(S)=0 at tolerance {tol:g} (residual {residual:.3e})")

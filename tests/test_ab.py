@@ -23,9 +23,14 @@ def _load_ab():
     return module
 
 
-def _runs(parent, child):
+def _runs(parent, child, statuses=None):
+    """Runs as run_pairs records them; `statuses` gives (parent, child) (attempted, failed) per run."""
+    statuses = statuses or [((1, 0), (1, 0))] * len(parent)
     return [{"seed": i + 1, "first": "parent" if i % 2 == 0 else "child",
-             "parent": p, "child": c} for i, (p, c) in enumerate(zip(parent, child))]
+             "parent": p, "child": c,
+             **{f"{side}_status": {"correct": True, "attempted": a, "failed": f}
+                for side, (a, f) in zip(("parent", "child"), st)}}
+            for i, (p, c, st) in enumerate(zip(parent, child, statuses))]
 
 
 def test_summary_counts_wins_in_each_metrics_direction():
@@ -72,6 +77,21 @@ def test_single_pair_and_seed_lists():
     assert ab.parse_seeds("11") == [11]
 
 
+def test_failure_shares_name_the_seeds_where_the_child_fails_more():
+    ab = _load_ab()
+    values = {"ok_per_s": 2.0, "job_ms.p50": 5.0, "ok_frac": 0.8}
+    # equal medians of every metric, as in a run where only the failure share moved
+    runs = _runs([values] * 4, [values] * 4,
+                 [((60, 10), (60, 10)), ((120, 20), (120, 21)), ((60, 10), (60, 9)), ((90, 15), (60, 11))])
+    failures = ab.failure_shares(runs)
+    assert [(r["seed"], r["parent"], r["child"]) for r in failures["runs"]] == [
+        (1, 10 / 60, 10 / 60), (2, 20 / 120, 21 / 120), (3, 10 / 60, 9 / 60), (4, 15 / 90, 11 / 60)]
+    assert failures["median"] == {"parent": pytest.approx(1 / 6),
+                                  "child": pytest.approx((10 / 60 + 21 / 120) / 2)}
+    assert failures["child_higher"] == [2, 4]
+    assert ab.failure_shares(runs[:1])["child_higher"] == []
+
+
 def test_machine_reads_the_run_environment():
     ab = _load_ab()
     env = {"nproc": 2, "cpus_usable": 2, "thread_env": {"OPENBLAS_NUM_THREADS": "1"},
@@ -102,7 +122,7 @@ def test_refuses_to_run_with_uncommitted_source(monkeypatch):
     assert "src/invpairs/conditioning.py" in str(exc.value)
 
 
-def test_both_sides_run_from_exports_in_one_directory(monkeypatch, tmp_path):
+def test_both_sides_run_from_exports_in_one_directory(monkeypatch, tmp_path, capsys):
     ab = _load_ab()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": DEFINITIONS}))
     monkeypatch.setattr(ab, "ROOT", tmp_path)
@@ -119,14 +139,16 @@ def test_both_sides_run_from_exports_in_one_directory(monkeypatch, tmp_path):
         values = {"ok_per_s": 2.0, "job_ms.p50": 5.0, "ok_frac": 1.0}
         env = {"nproc": 2, "cpus_usable": 2, "thread_env": {}, "blas": [], "python": "3",
                "numpy": "2", "scipy": "1"}
-        return _runs([values] * len(seeds), [values] * len(seeds)), env
+        return _runs([values] * len(seeds), [values] * len(seeds), [((6, 1), (6, 2))] * len(seeds)), env
 
     monkeypatch.setattr(ab, "export", export)
     monkeypatch.setattr(ab, "run_pairs", run_pairs)
     ab.main(["--workload", "certify", "--seeds", "1-2"])
 
+    assert "seeds [1, 2]" in capsys.readouterr().err
     assert set(exported) == {"p" * 40, "c" * 40}
     assert seen["parent"] == exported["p" * 40] and seen["child"] == exported["c" * 40]
     assert seen["parent"].parent == seen["child"].parent != tmp_path
     doc = json.loads((tmp_path / "BENCH_certify.json").read_text())
     assert (doc["parent"], doc["child"]) == ("p" * 40, "c" * 40)
+    assert doc["failures"]["median"] == {"parent": 1 / 6, "child": 2 / 6}

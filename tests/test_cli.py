@@ -265,6 +265,66 @@ class TestCommands:
             assert any(ch.isalpha() for ch in lines[0]), argv[0]  # header row
 
 
+def _csv_layout(command, doc):
+    """Header and rows the CSV output of a command must have, built from its JSON document.
+
+    A cell is a string, matched exactly, or a list of [re, im] pairs: the
+    space-separated complex numbers of the cell, matched bit for bit.
+    """
+    def matrix(lead, M):
+        return [lead + [str(r)] + [[z] for z in row] for r, row in enumerate(M)]
+
+    if command == "pair":
+        return ["matrix", "row", "entries"], [
+            *matrix(["X"], doc["X"]), *matrix(["S"], doc["S"]),
+            ["relative_residual", "", repr(doc["relative_residual"])]]
+    if command == "solvent":
+        return ["row", "entries"], [
+            *matrix([], doc["S"]), ["residual", repr(doc["residual"])], ["certified", str(doc["certified"])]]
+    if command == "enumerate":
+        return ["solvent", "row", "entries"], [
+            *(row for i, s in enumerate(doc["solvents"]) for row in matrix([str(i)], s["S"])),
+            *(["rejected", "", " ".join(map(str, r))] for r in doc["rejected_subsets"])]
+    rows = []
+    for b, fam in enumerate(doc["families"]):
+        lead = [str(b), fam["kind"], fam["diagonal"]]
+        if "base" not in fam:
+            rows.append(lead + ["", "", ""])
+            continue
+        rows += matrix(lead + ["base"], fam["base"])
+        for d, D in enumerate(fam["directions"]):
+            rows += matrix(lead + [f"direction{d}"], D)
+    return ["branch", "kind", "diagonal", "matrix", "row", "entries"], rows
+
+
+class TestCsvLayout:
+    @pytest.mark.parametrize("argv", [
+        ["pair", data_file("ss_2x2.json"), "--center", "1,0", "--radius", "0.5",
+         "--m", "3", "--probe-file", probe_file("ss_2x2.json")],
+        ["solvent", data_file("quad_solvents_2x2.json"), "--center", "1.5,0", "--radius", "1.0"],
+        ["enumerate", data_file("quad_solvents_2x2.json")],
+        ["triangular", data_file("infinite_family_3x3_triangular.json")],
+    ], ids=lambda argv: argv[0])
+    def test_rows_carry_the_json_entries_bit_for_bit(self, capsys, argv):
+        assert run_command(argv + ["--format", "json"]) == 0
+        header, expected = _csv_layout(argv[0], json.loads(capsys.readouterr().out))
+        assert run_command(argv + ["--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert rows[0] == header
+        assert len(rows) == len(expected) + 1 and len(expected) > 2
+        for row, cells in zip(rows[1:], expected):
+            assert len(row) == len(cells), row
+            for text, want in zip(row, cells):
+                if isinstance(want, str):
+                    assert text == want, row
+                    continue
+                parts = text.split(" ")
+                assert len(parts) == len(want) and all(part.endswith("i") for part in parts), row
+                for part, (re, im) in zip(parts, want):
+                    z = complex(part[:-1] + "j")
+                    assert (z.real.hex(), z.imag.hex()) == (float(re).hex(), float(im).hex()), row
+
+
 SS_2X2 = data_file("ss_2x2.json")
 
 

@@ -464,6 +464,47 @@ class TestMinimizeStep:
             assert poly(t) <= poly(1.0) + 1e-9 * (1.0 + abs(poly(1.0)))
 
 
+    def test_matches_polynomial_class_bits(self):
+        # the former minimize_step, on numpy.polynomial.Polynomial objects
+        from numpy.polynomial import Polynomial
+
+        def reference(poly):
+            coeffs = poly.coefficients()
+            scale = float(np.abs(coeffs).max())
+            candidates = [1.0, 2.0]
+            if scale > 0:
+                trimmed = Polynomial(coeffs).deriv().trim(tol=1e-14 * scale)
+                for r in np.atleast_1d(trimmed.roots()):
+                    if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and -1e-12 <= r.real <= 2.0:
+                        candidates.append(min(max(float(r.real), 0.0), 2.0))
+            values = poly(np.array(candidates))
+            best = float(values.min())
+            tie = best + 1e-12 * (1.0 + abs(best))
+            return min([t for t, pv in zip(candidates, values) if pv <= tie], key=lambda t: abs(t - 1.0))
+
+        rng = np.random.default_rng(2718)
+        zero_steps = 0
+        for case in range(10_000):
+            coeffs = rng.standard_normal(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-6, 6)
+            kind = case % 4
+            if kind == 1:
+                # exact zeros; with c_1 = 0, p'(t) has the root t = -0.0 or +0.0
+                coeffs[rng.random(len(coeffs)) < 0.4] = 0.0
+                coeffs[1:2] = 0.0
+            elif kind == 2:
+                # coefficients around the 1e-14 relative trimming tolerance
+                tiny = rng.random(len(coeffs)) < 0.5
+                coeffs[tiny] *= 10.0 ** rng.uniform(-17, -12, tiny.sum())
+            elif kind == 3:
+                # p(t) = c_0 + c_2 t^2 (c_2 > 0): minimized at the root t = 0
+                coeffs = np.array([rng.uniform(0, 1), 0.0, rng.uniform(0.5, 2)])
+            poly = StepPolynomial(coeffs)
+            got, want = minimize_step(poly), reference(poly)
+            assert float(got).hex() == float(want).hex(), coeffs
+            zero_steps += want == 0.0
+        assert zero_steps >= 2500
+
+
 class TestRefinePair:
     def test_perturbed_golden_pair_converges(self, ss_2x2):
         rng = np.random.default_rng(5)

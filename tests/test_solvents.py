@@ -38,6 +38,23 @@ M_SINGULAR_Y1 = np.array([
 ])
 
 
+CONDITIONS = pytest.mark.parametrize("cond", [1e2, 1e4, 1e6], ids=["cond1e2", "cond1e4", "cond1e6"])
+
+
+def _graded_basis(cond, seed):
+    """3x3 E = Q diag(1/cond, cond^(-1/2), 1) with Q a seeded orthogonal matrix.
+
+    cond(E) = cond, yet E A E^{-1} stays as small as A for upper triangular A:
+    the increasing scaling shrinks the strictly upper part.  So problems and
+    solvents built with E keep O(1) entries and absolute tolerances, and the
+    ill-conditioning sits in the basis that the similarity solves with.
+    """
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+    E = Q * np.array([1.0 / cond, cond ** -0.5, 1.0])
+    assert np.linalg.cond(E) == pytest.approx(cond, rel=1e-6)
+    return E
+
+
 class TestSolventFromPair:
     def test_identity_pair(self, quad_2x2):
         S0 = np.diag([1.0, 2.0])
@@ -61,6 +78,18 @@ class TestSolventFromPair:
         direct = W @ D @ np.linalg.inv(W)
         assert np.abs(sol.S - direct).max() <= 1e-10
         np.testing.assert_allclose(sol.S, np.array([[1.0, 2.0], [0.0, 3.0]]), atol=1e-10)
+
+    @CONDITIONS
+    def test_conditioned_basis_recovers_solvent(self, cond):
+        # P(lambda) = (lambda I - S1)(lambda I - S) has the solvent S = X S_pair X^{-1}
+        X = _graded_basis(cond, 5)
+        S_pair = np.array([[1.0, 0.5, -0.25], [0.0, 2.0, 0.75], [0.0, 0.0, 3.0]])
+        want = X @ S_pair @ np.linalg.inv(X)
+        S1 = np.random.default_rng(6).standard_normal((3, 3))
+        P = MatrixPolynomial([S1 @ want, -(S1 + want), np.eye(3)])
+        sol = solvent_from_pair(P, InvariantPair(X, S_pair))
+        assert np.abs(sol.S - want).max() <= 1e-8
+        assert sol.residual <= 1e-8
 
     def test_rejects_rectangular_pair(self, multi_3x3, golden_contours):
         from invpairs import extract_block_invariant_pair
@@ -309,11 +338,11 @@ class TestSolventFromTriangular:
         np.testing.assert_allclose(sol.S, S_t, atol=1e-10)
         assert sol.residual <= 1e-10
 
-    def test_conjugated_problem_recovers_solvent(self, triangular_3x3):
+    @CONDITIONS
+    def test_conjugated_problem_recovers_solvent(self, triangular_3x3, cond):
         # P = E T E^{-1} is linearized by M = diag(E^{-1}, E^{-1}) and its
-        # solvent corresponding to S_t is E S_t E^{-1}
-        rng = np.random.default_rng(61)
-        E = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+        # solvent corresponding to S_t is E S_t E^{-1}; cond(M) = cond(Y_1) = cond(E)
+        E = _graded_basis(cond, 61)
         Einv = np.linalg.inv(E)
         T = triangular_3x3
         P = MatrixPolynomial([E @ A @ Einv for A in T.coeffs])

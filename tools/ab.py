@@ -18,7 +18,10 @@ The result goes to BENCH_<workload>.json: for each end-to-end metric of
 BENCHMARK.json, both sides' median and quartiles over the --seeds pairs
 and the pairs the child won, then the --confirm pairs on their own, every
 run's values, both commit SHAs, and the cores, BLAS threads and
-numpy/scipy versions the runs reported.
+numpy/scipy versions the runs reported.  Its `failures` block holds each
+side's share of failed jobs (failed / attempted) in every run, the median
+share per side, and the seeds at which the child's share is higher; a
+line on stderr names those seeds when there are any.
 """
 
 import argparse
@@ -115,6 +118,18 @@ def summarize(runs, definitions):
     return out
 
 
+def failure_shares(runs):
+    """Each side's failed/attempted share per run, the median per side, and the
+    seeds where the child fails a larger share than the parent."""
+    shares = [{side: r[f"{side}_status"]["failed"] / r[f"{side}_status"]["attempted"] for side in SIDES}
+              for r in runs]
+    return {
+        "runs": [{"seed": r["seed"], **share} for r, share in zip(runs, shares)],
+        "median": {side: statistics.median(s[side] for s in shares) for side in SIDES},
+        "child_higher": [r["seed"] for r, s in zip(runs, shares) if s["child"] > s["parent"]],
+    }
+
+
 def machine(env):
     """Cores, BLAS threads and library versions as a bench/run.py run reports them."""
     return {"cores": env["nproc"], "cpus_usable": env["cpus_usable"],
@@ -155,8 +170,12 @@ def main(argv=None):
         "metrics": summarize(runs, bench["end_to_end"]),
         "confirm": {"seeds": args.confirm,
                     "metrics": summarize(confirm, bench["end_to_end"]) if confirm else {}},
+        "failures": failure_shares(runs + confirm),
         "runs": runs + confirm,
     }
+    if doc["failures"]["child_higher"]:
+        print(f"{args.workload}: the child fails a larger share of its jobs than the parent at seeds "
+              f"{doc['failures']['child_higher']}", file=sys.stderr)
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
 
