@@ -15,7 +15,7 @@ exponentially here because the integrand is analytic in an annulus around
 the circle.
 
 The nodes are visited in one pass that keeps no factor: P(z_j) is
-evaluated by Horner into one reused n-by-n buffer and LU-factored there in
+evaluated by Horner into a reused n-by-n buffer and LU-factored there in
 place, and while that factor is live the pass reads off what the callers
 need before the next node overwrites it.  For the extractors that is the
 phase of det P(z_j) = (-1)^s prod u_ii and the solve Y_j = P(z_j)^{-1} V
@@ -28,9 +28,18 @@ where that gives up do they take the trace count, with a pass of its own.
 count_eigenvalues_inside, and with it the `count` command, keeps the trace
 of P(z)^{-1} P'(z) and its quality indicator.  Every solve on a live
 factor, Y_j and P(z_j)^{-1} P'(z_j) alike, is one LAPACK getrs call on it.
+
+From n = 100 on, where two CPUs are usable, the pass splits the nodes into
+two contiguous halves, the second factored by a helper thread in a buffer
+of its own, so the working memory is at most 2 n^2 plus the N*n*xi node
+solves.  Each node writes only its own results, and the trace count sums
+its node terms in node order after the pass, so no bit depends on which
+thread factored a node.
 """
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -65,6 +74,16 @@ NEAR_CONTOUR_CONDITION = 1e13
 # its arc is bisected, at most WINDING_MAX_DEPTH times.
 WINDING_STEP_BOUND = math.pi / 2
 WINDING_MAX_DEPTH = 4
+
+# The node pass splits its nodes between this many threads (one per usable
+# CPU, at most two) from n = _SPLIT_MIN_N on; LAPACK releases the GIL.  On 2
+# cores with 1 BLAS thread, two threads made the benchmark's extractions
+# 1.55-1.73x as fast at n = 200 and 1.11-1.45x at n = 100, but 0.74-1.00x
+# at n = 50 and 0.51-0.67x at n <= 20, where the GIL hand-offs outweigh
+# the factorization (two seeds, eight interleaved rounds each).
+_USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_NODE_WORKERS = min(2, _USABLE_CPUS)
+_SPLIT_MIN_N = 100
 
 _GECON, _GETRS = get_lapack_funcs(("gecon", "getrs"), dtype=complex)
 
@@ -204,19 +223,28 @@ class _NodeSolves(NamedTuple):
     Y: Optional[np.ndarray]
 
 
+def _node_buffers(n):
+    """A Fortran-order complex n-by-n buffer and the real scratch for _factor_in_place."""
+    return np.empty((n, n), dtype=complex, order="F"), np.empty((2, n, n))
+
+
 def _factor_in_place(buf, scratch, coeffs, z, t, node=None):
     """LU factors of P(z), made in `buf`, and LAPACK's estimate of cond_1(P(z)).
 
     P(z) is evaluated into the Fortran-order buffer by Horner and factored
-    there without a copy.  `scratch`, a real n-by-n C-order array, takes
-    |P(z)| so that the column sums of the 1-norm accumulate row by row, in
-    the order np.linalg.norm uses on a C-order matrix.  A P(z) that is not
-    finite raises ValueError naming t (and the node).  The caller silences
-    LinAlgWarning and floating-point warnings and judges P(z) by the
-    estimate.
+    there without a copy.  Both buffers come from _node_buffers.  |P(z)| is
+    taken into scratch[1] in the buffer's order, then copied into the
+    C-order scratch[0] so that the column sums of the 1-norm accumulate row
+    by row, in the order np.linalg.norm uses on a C-order matrix; taking it
+    into C order directly would allocate an iterator buffer at every node.
+    A P(z) that is not finite raises ValueError naming t (and the node).
+    The caller silences LinAlgWarning and floating-point warnings and
+    judges P(z) by the estimate.
     """
     _horner_into(buf, coeffs, z)
-    anorm = np.abs(buf, out=scratch).sum(axis=0).max()
+    rows, absval = scratch[0], scratch[1].T
+    np.copyto(rows, np.abs(buf, out=absval))
+    anorm = rows.sum(axis=0).max()
     if not math.isfinite(anorm):
         what = "has a 1-norm that overflows" if np.isfinite(buf).all() else "is not finite"
         where = f"node {node} (t = {t:.6f})" if node is not None else f"t = {t:.6f}"
@@ -230,23 +258,55 @@ def _node_pass(P, z, visit):
     """LU-factor P(z_j) at the nodes z_j = phi(2 pi j / N), calling
     visit(j, (lu, piv)) while each factor is live.
 
-    One n-by-n buffer, filled from Fortran-order copies of the coefficients,
-    holds each node's P(z_j) and then its factor, so no factor outlives its
-    node.  A node whose condition estimate exceeds NEAR_CONTOUR_CONDITION
-    raises EigenvalueOnContourError.
+    From n = _SPLIT_MIN_N on, the nodes are split into _NODE_WORKERS
+    contiguous runs, the first factored by the calling thread and each other
+    one by a helper thread; `visit` must then write only what belongs to
+    node j.  Each worker holds one n-by-n buffer, filled from Fortran-order
+    copies of the coefficients, for each node's P(z_j) and then its factor,
+    so no factor outlives its node or is seen by another thread.  A node
+    whose condition estimate exceeds NEAR_CONTOUR_CONDITION raises
+    EigenvalueOnContourError.  A worker stops at its first failure, or when
+    a worker of lower nodes has failed, and the pass raises the failure of
+    the lowest node: the one a single worker going through the nodes in
+    order would raise.
     """
     coeffs = [np.asfortranarray(A) for A in P.coeffs]
-    buf = np.empty((P.n, P.n), dtype=complex, order="F")
-    scratch = np.empty((P.n, P.n))
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        # singularity is detected via the condition estimate, overflow via the norm
+    workers = _NODE_WORKERS if P.n >= _SPLIT_MIN_N else 1
+    ends = [len(z) * k // workers for k in range(workers + 1)]
+    failures = [None] * workers
+
+    def work(k):
+        buf, scratch = _node_buffers(P.n)
+        # errstate is per thread; singularity is detected via the condition
+        # estimate, overflow via the norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(ends[k], ends[k + 1]):
+                if any(failures[:k]):
+                    return
+                t = 2 * math.pi * j / len(z)
+                try:
+                    lu, cond = _factor_in_place(buf, scratch, coeffs, z[j], t, j)
+                    if cond > NEAR_CONTOUR_CONDITION:
+                        raise EigenvalueOnContourError(j, t, cond)
+                    visit(j, lu)
+                except Exception as err:
+                    failures[k] = err
+                    return
+
+    # warning filters are process-wide, so only this thread may set them
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        for j, zj in enumerate(z):
-            t = 2 * math.pi * j / len(z)
-            lu, cond = _factor_in_place(buf, scratch, coeffs, zj, t, j)
-            if cond > NEAR_CONTOUR_CONDITION:
-                raise EigenvalueOnContourError(j, t, cond)
-            visit(j, lu)
+        helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work(0)
+        finally:
+            for helper in helpers:
+                helper.join()
+    for err in failures:
+        if err is not None:
+            raise err
 
 
 def _solve_at_nodes(P, contour, V=None):
@@ -345,13 +405,15 @@ def count_eigenvalues_inside(P, contour):
     the contour.
     """
     z, w = contour.points()
-    acc = 0.0 + 0.0j
+    terms = np.empty(len(z), dtype=complex)
 
     def visit(j, lu):
-        nonlocal acc
-        acc += w[j] * np.trace(_GETRS(*lu, eval_derivative(P, z[j]))[0])
+        terms[j] = w[j] * np.trace(_GETRS(*lu, eval_derivative(P, z[j]))[0])
 
     _node_pass(P, z, visit)
+    acc = 0.0 + 0.0j
+    for term in terms:  # in node order, whichever thread factored the node
+        acc += term
     m = int(round(acc.real))
     quality = abs(acc - m)
     if quality > 0.1:
@@ -388,8 +450,7 @@ def _arc_turn(P, contour, t0, t1, a0, a1, depth):
         return None
     tm = 0.5 * (t0 + t1)
     zm = contour.center + contour.radius * complex(math.cos(tm), math.sin(tm))
-    buf = np.empty((P.n, P.n), dtype=complex, order="F")
-    lu, cond = _factor_in_place(buf, np.empty((P.n, P.n)), P.coeffs, zm, tm)
+    lu, cond = _factor_in_place(*_node_buffers(P.n), P.coeffs, zm, tm)
     if cond > NEAR_CONTOUR_CONDITION:
         return None
     am = float(_det_phase(lu))

@@ -328,8 +328,9 @@ def solvent_from_triangular(P, M, S_t, tol=1e-8):
     block companion linearization of the upper triangular polynomial T
     equivalent to P; A is the companion linearization of P.  With Y_1 the
     leading n-by-n block of M^{-1} [I; S_t; ...; S_t^{ell-1}], the matrix
-    S = Y_1 S_t Y_1^{-1} solves P(S) = 0.  The residual is checked against
-    tol.
+    S = Y_1 S_t Y_1^{-1} solves P(S) = 0.  The residual ||P(S)||_F is
+    checked against tol times max(1, sum_j ||A_j||_F ||S||_F^j), the size of
+    its roundoff; the returned Solvent carries it unscaled.
     """
     n, ell = P.n, P.degree
     M = np.asarray(M, dtype=complex)
@@ -367,6 +368,9 @@ def solvent_from_triangular(P, M, S_t, tol=1e-8):
         )
     S = _similarity(Y1, S_t)
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro"))
-    if residual > tol:
+    # roundoff in P(S) grows with sum_j ||A_j|| ||S||^j, so gate relative to it
+    s_norm = float(np.linalg.norm(S, "fro"))
+    scale = sum(float(np.linalg.norm(A, "fro")) * s_norm ** j for j, A in enumerate(P.coeffs))
+    if residual > tol * max(1.0, scale):
         raise ValueError(f"recovered matrix fails P(S)=0 at tolerance {tol:g} (residual {residual:.3e})")
     return Solvent(S, residual)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -391,9 +393,17 @@ def _stored_trace_count(P, contour):
     return m, abs(acc - m)
 
 
+def _split_between_two_workers(monkeypatch):
+    """Two node-pass workers from n = 100 on, however many CPUs this machine has."""
+    monkeypatch.setattr(contour_module, "_NODE_WORKERS", 2)
+    assert contour_module._SPLIT_MIN_N == 100
+
+
 def _assert_pass_matches_stored_factors(monkeypatch, P, contour, U, V):
-    """Phases, trace count, moments and extracted pairs of the one-buffer node
-    pass equal, bit for bit, those read off the stack of stored factors."""
+    """Phases, trace count, moments and extracted pairs of the node pass (one
+    buffer per worker, split between two workers from n = 100 on) equal, bit
+    for bit, those read off the stack of stored factors."""
+    _split_between_two_workers(monkeypatch)
     calls = [
         lambda: extract_invariant_pair(P, contour),
         lambda: extract_invariant_pair(P, contour, m=2),
@@ -438,6 +448,40 @@ class TestSharedNodeFactorization:
         extract_invariant_pair(multi_3x3, contour, [3, 1, -2], [3, -1, -2], m=3)
         assert len(factored) == contour.nodes
 
+    @pytest.mark.parametrize("n, threads", [(50, 1), (100, 2)])
+    def test_split_pass_factors_each_half_on_its_own_thread(self, monkeypatch, n, threads):
+        _split_between_two_workers(monkeypatch)
+        P, contour, _ = _extract_style_case(np.random.default_rng([n, 2]), n, 2, "")
+        factored_by = []
+        original = contour_module.lu_factor
+
+        def counted(a, *args, **kwargs):
+            factored_by.append(threading.get_ident())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(contour_module, "lu_factor", counted)
+        extract_invariant_pair(P, contour, *contour_module.default_probe_vectors(n, 1))
+        assert len(factored_by) == contour.nodes
+        assert [factored_by.count(t) for t in dict.fromkeys(factored_by)] == [contour.nodes // threads] * threads
+
+    def test_split_pass_keeps_bits_with_more_workers_than_cores(self, monkeypatch):
+        # four workers and a switch interval of 1 us interleave the threads
+        # as finely as the interpreter allows; every node still lands in its
+        # own slot, and the trace count still sums in node order
+        monkeypatch.setattr(contour_module, "_NODE_WORKERS", 4)
+        P, contour, _ = _extract_style_case(np.random.default_rng([100, 2, 0]), 100, 2, "")
+        V = np.random.default_rng(1).standard_normal((100, 2)) + 0j
+        want = _stored_factor_solves(P, contour, V), _stored_trace_count(P, contour)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = contour_module._solve_at_nodes(P, contour, V)
+                assert np.array_equal(got.phases, want[0].phases) and np.array_equal(got.Y, want[0].Y)
+                assert tuple(count_eigenvalues_inside(P, contour)) == want[1]
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
     def test_sharing_changes_no_bits(self, monkeypatch, name):
         P = problems.PROBLEMS[name]()
@@ -446,18 +490,24 @@ class TestSharedNodeFactorization:
         U, V = (rng.standard_normal((P.n, 2)) + 1j * rng.standard_normal((P.n, 2)) for _ in range(2))
         _assert_pass_matches_stored_factors(monkeypatch, P, contour, U, V)
 
-    @pytest.mark.parametrize("hard", ["", "inside", "outside"])
-    @pytest.mark.parametrize("ell", [2, 3])
-    @pytest.mark.parametrize("n", [8, 20, 50])
+    # n = 100 and 200 run split between two workers; at n = 200, l = 3 this
+    # generator's P(z) has cond > 1e13 at every node, so nothing is extracted
+    @pytest.mark.parametrize("n, ell, hard", [
+        (n, ell, hard) for n in (8, 20, 50, 100, 200) for ell in (2, 3)
+        for hard in ("", "inside", "outside") if (n, ell) != (200, 3)
+    ])
     def test_pass_changes_no_bits_on_seeded_cases(self, monkeypatch, n, ell, hard):
         rng = np.random.default_rng([n, ell, len(hard)])
         P, contour, _ = _extract_style_case(rng, n, ell, hard)
         U, V = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for _ in range(2))
         _assert_pass_matches_stored_factors(monkeypatch, P, contour, U, V)
 
-    def test_extraction_keeps_no_node_factors(self):
-        # the former path kept all N factors, 64 n^2 complex numbers
-        P, contour, _ = _extract_style_case(np.random.default_rng([100, 2]), 100, 2, "")
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_extraction_keeps_no_node_factors(self, monkeypatch, n):
+        # the former path kept all N factors, 64 n^2 complex numbers; the
+        # split pass holds one buffer and its scratch per worker
+        _split_between_two_workers(monkeypatch)
+        P, contour, _ = _extract_style_case(np.random.default_rng([n, 2]), n, 2, "")
         u, v = contour_module.default_probe_vectors(P.n, 1)
         tracemalloc.start()
         try:
@@ -485,21 +535,35 @@ class TestSharedNodeFactorization:
         # an eigenvalue on node 5 of a dense n = 50 problem: the error's cond
         # depends on the exact 1-norm of P(z_5), whose column sums must
         # accumulate in the former order
-        rng = np.random.default_rng(0)
-        contour = Contour(0.2, 0.9)
-        z5 = contour.points()[0][5]
-        far = [_disk_points(rng, 0.2, 2.0, 3.0, 49), _disk_points(rng, 0.2, 2.0, 3.0, 50)]
-        P = _product_polynomial(rng, [np.r_[z5, far[0]], far[1]])
-        with pytest.raises(EigenvalueOnContourError) as want:
-            _stored_factors(P, contour)
-        assert want.value.node == 5
-        U = np.eye(50)[:, :2]
-        for call in (lambda: count_eigenvalues_inside(P, contour),
-                     lambda: extract_invariant_pair(P, contour),
-                     lambda: extract_block_invariant_pair(P, contour, U, U)):
-            with pytest.raises(EigenvalueOnContourError) as err:
-                call()
-            assert (err.value.node, err.value.t, err.value.cond) == (want.value.node, want.value.t, want.value.cond)
+        _assert_on_contour_error_matches_stored_factors(50, [5])
+
+    @pytest.mark.parametrize("nodes", [[40], [5, 40]], ids=["helper-half", "both-halves"])
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_on_contour_error_of_split_pass_matches_stored_factors(self, monkeypatch, n, nodes):
+        # nodes 0-31 are the calling thread's and 32-63 the helper's; the
+        # pass raises the lowest singular node, as the serial loop did
+        _split_between_two_workers(monkeypatch)
+        _assert_on_contour_error_matches_stored_factors(n, nodes)
+
+
+def _assert_on_contour_error_matches_stored_factors(n, nodes):
+    """Eigenvalues on the listed nodes of a dense problem: count and both
+    extractors raise the node, t and cond of the stored-factor loop."""
+    rng = np.random.default_rng(0)
+    contour = Contour(0.2, 0.9)
+    on = contour.points()[0][nodes]
+    far = [_disk_points(rng, 0.2, 2.0, 3.0, n - len(nodes)), _disk_points(rng, 0.2, 2.0, 3.0, n)]
+    P = _product_polynomial(rng, [np.r_[on, far[0]], far[1]])
+    with pytest.raises(EigenvalueOnContourError) as want:
+        _stored_factors(P, contour)
+    assert want.value.node == nodes[0]
+    U = np.eye(n)[:, :2]
+    for call in (lambda: count_eigenvalues_inside(P, contour),
+                 lambda: extract_invariant_pair(P, contour),
+                 lambda: extract_block_invariant_pair(P, contour, U, U)):
+        with pytest.raises(EigenvalueOnContourError) as err:
+            call()
+        assert (err.value.node, err.value.t, err.value.cond) == (want.value.node, want.value.t, want.value.cond)
 
 
 def _product_polynomial(rng, spectra):
