@@ -394,7 +394,7 @@ def _stored_trace_count(P, contour):
 
 
 def _split_between_two_workers(monkeypatch):
-    """Two node-pass workers from n = 100 on, however many CPUs this machine has."""
+    """Two node-pass workers from n = 100 on, whatever the CPU count."""
     monkeypatch.setattr(contour_module, "_NODE_WORKERS", 2)
     assert contour_module._SPLIT_MIN_N == 100
 

@@ -356,24 +356,19 @@ class TestSolventFromTriangular:
         assert np.abs(sol.S - want).max() <= 1e-8
         assert sol.residual <= 1e-8
 
-    @staticmethod
-    def _badly_scaled(T, seed):
-        """P = E T E^{-1} with E = Q_1 diag(1, 1e-2, 1e-4) Q_2^T (seeded orthogonal
-        Q_1, Q_2), its linearizing M = diag(E^{-1}, E^{-1}) and E."""
-        rng = np.random.default_rng(seed)
+    def test_badly_scaled_problem_gates_residual_relative_to_its_size(self, triangular_3x3):
+        # P = E T E^{-1} with E = Q_1 diag(1, 1e-2, 1e-4) Q_2^T (seeded
+        # orthogonal Q_1, Q_2): P's entries reach 1.3e4 and S's 1.9e4, so
+        # roundoff alone leaves ||P(S)||_F near 3.6e-8, above an absolute
+        # 1e-8; relative to sum_j ||A_j|| ||S||^j (1.7e9) it is far below
+        rng = np.random.default_rng(3)
         Q1, Q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
         E = Q1 @ np.diag([1.0, 1e-2, 1e-4]) @ Q2.T
         Einv = np.linalg.inv(E)
-        return MatrixPolynomial([E @ A @ Einv for A in T.coeffs]), np.kron(np.eye(2), Einv), E
-
-    def test_badly_scaled_problem_gates_residual_relative_to_its_size(self, triangular_3x3):
-        # P's entries reach 1.3e4 and S's 1.9e4, so roundoff alone leaves
-        # ||P(S)||_F near 3.6e-8, above an absolute 1e-8; relative to
-        # sum_j ||A_j|| ||S||^j (1.7e9) it is far below
-        P, M, E = self._badly_scaled(triangular_3x3, 3)
+        P = MatrixPolynomial([E @ A @ Einv for A in triangular_3x3.coeffs])
         S_t = triangular_solvent_solve(triangular_3x3)[1].member([1.5])
-        sol = solvent_from_triangular(P, M, S_t, tol=1e-8)
-        want = E @ S_t @ np.linalg.inv(E)
+        sol = solvent_from_triangular(P, np.kron(np.eye(2), Einv), S_t, tol=1e-8)
+        want = E @ S_t @ Einv
         assert np.abs(sol.S - want).max() <= 1e-8 * np.abs(want).max()
         assert sol.residual == np.linalg.norm(eval_matrix(P, sol.S), "fro") > 1e-8
 
