@@ -41,7 +41,7 @@ from scipy.linalg import lu_factor, lu_solve, schur
 from .conditioning import _checked_pair, _ds_factors, pair_jacobian, solvent_jacobian
 from .contour import Contour
 from .matpoly import InvariantPair, _as_square_complex, _powers, eval_matrix, eval_pair, eval_scalar
-from .solvents import Solvent
+from .solvents import Solvent, _residual_scale
 from ._numeric import require_finite
 
 __all__ = [
@@ -63,7 +63,7 @@ class RefinementReport:
     """Per-iteration record of a Newton run.
 
     residual_history holds the relative residuals ||P(X_k, S_k)||_F / ||X_k||_F
-    (||P(S_k)||_F / ||S_k||_F for solvents), one entry more than iterations.
+    (||P(S_k)||_F / max(||S_k||_F, 1) for solvents), one more than iterations.
     """
 
     iterations: int
@@ -392,8 +392,8 @@ def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
 
     Each step is the Schur-structured correction; where a column system is
     singular it is the pseudoinverse solution of the dense solvent Jacobian,
-    with a warning.  Stops when ||P(S_k)||_F / ||S_k||_F < tol (over 1 at
-    S_k = 0).  Raises ValueError unless S0 is a finite n-by-n matrix.
+    with a warning.  Stops when ||P(S_k)||_F / max(||S_k||_F, 1) < tol.
+    Raises ValueError unless S0 is a finite n-by-n matrix.
     """
     S0 = require_finite(_as_square_complex(S0, P.n, what="S"), "S")
     dX = np.zeros_like(S0)
@@ -407,6 +407,6 @@ def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
         return dX, dS
 
     _, S, report = _newton(P, np.eye(P.n, dtype=complex), S0, correction,
-                           lambda X, S: np.linalg.norm(S, "fro") or 1.0, tol, maxit, line_search)
+                           lambda X, S: _residual_scale(S), tol, maxit, line_search)
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro"))
     return Solvent(S, residual), report

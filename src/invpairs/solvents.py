@@ -166,17 +166,21 @@ def enumerate_solvents(P, eigpairs):
     return solvents, rejected
 
 
+def _residual_scale(S):
+    """max(||S||_F, 1), the denominator of a solvent's relative residual."""
+    return max(float(np.linalg.norm(S, "fro")), 1.0)
+
+
 def verify_solvent(P, S, tol=1e-8):
     """Residual and Bezout eigenpair checks of a candidate solvent.
 
-    Reports ||P(S)||_F / ||S||_F (guarding the S = 0 case with a unit
-    denominator) and, for every eigenpair (mu, w) of S, the residual
+    Reports ||P(S)||_F / max(||S||_F, 1), which does not blow up as S
+    shrinks to 0, and, for every eigenpair (mu, w) of S, the residual
     ||P(mu) w||_2 / ||w||_2; a certified solvent keeps all of them within
     tol.  Raises ValueError when S has a NaN or infinite entry.
     """
     S = require_finite(np.asarray(S, dtype=complex), "S")
-    norm_S = np.linalg.norm(S, "fro")
-    residual = float(np.linalg.norm(eval_matrix(P, S), "fro") / (norm_S if norm_S > 0 else 1.0))
+    residual = float(np.linalg.norm(eval_matrix(P, S), "fro") / _residual_scale(S))
     vals, vecs = np.linalg.eig(S)
     checks = []
     for mu, w in zip(vals, vecs.T):
@@ -218,10 +222,10 @@ def triangular_solvent_solve(T):
     reads only entries of smaller span, so one evaluation of sum_p T_p S^p
     on the stack, while the span-s entries are still zero, gives b for the
     whole superdiagonal; it is repeated only after a parameter is added or
-    eliminated.  NonAffineFamilyError is raised when the equation of an
-    entry contains a product of two parameter-dependent entries that does
-    not cancel: its second difference at seeded parameters exceeds the
-    zero tolerance.
+    eliminated.  Each evaluation also takes the second difference in the
+    parameters at seeded random values; where it exceeds the zero tolerance,
+    the entry's equation holds a product of parameter-dependent entries that
+    does not cancel, and NonAffineFamilyError is raised.
 
     Returns one TriangularSolventFamily per branch, in the deterministic
     order of the root product; more than BRANCH_CAP branches raise
@@ -249,49 +253,44 @@ def _divided_difference(diag_coeffs, x, y):
 
 
 def _affine_poly(C, S):
-    """sum_p C_p S^p for the affine stack S, by Horner.
+    """The affine part of sum_p C_p S^p for the affine stack S, by Horner.
 
-    Returns the affine part, a stack shaped like S, and a nonnegative matrix
-    bounding the part of degree >= 2 in the parameters: it is built from
-    absolute values, so it is positive wherever a product of two
-    parameter-dependent entries enters, whatever cancels.
+    Returns a stack shaped like S; the terms of degree >= 2 in the
+    parameters are dropped.
     """
-    S0, L = S[0], np.abs(S[1:]).sum(axis=0)
     acc = np.zeros_like(S)
     acc[0] = C[-1]
-    nonlinear = np.zeros(S0.shape)
     for Cp in C[-2::-1]:
-        nonlinear = nonlinear @ (np.abs(S0) + L) + np.abs(acc[1:]).sum(axis=0) @ L
         nxt = acc[0] @ S
-        nxt[1:] += acc[1:] @ S0
+        nxt[1:] += acc[1:] @ S[0]
         nxt[0] += Cp
         acc = nxt
-    return acc, nonlinear
+    return acc
 
 
-def _second_difference(C, S, i, j):
-    """|f(p + q) - f(p) - f(q) + f(0)| for f the (i, j) entry of sum_p C_p S^p
-    over the parameters of the affine stack S, at seeded random p and q.
+def _second_difference(C, S):
+    """|f(p + q) - f(p) - f(q) + f(0)| entrywise for f = sum_p C_p S^p over
+    the parameters of the affine stack S, at seeded random p and q.
 
-    It vanishes when f is affine, and almost surely does not otherwise.
+    An entry is roundoff where f is affine in the parameters, and almost
+    surely is not otherwise; it is zero without parameters.
     """
+    if len(S) == 1:
+        return np.zeros(S.shape[1:])
     rng = np.random.default_rng(_SECOND_DIFFERENCE_SEED)
     p, q = (rng.standard_normal(len(S) - 1) + 1j * rng.standard_normal(len(S) - 1) for _ in range(2))
-
-    def f(t):
-        return _horner_at_matrix(C, S[0] + np.tensordot(t, S[1:], 1))[i, j]
-
-    return abs(f(p + q) - f(p) - f(q) + f(0 * p))
+    f = [_horner_at_matrix(C, S[0] + np.tensordot(t, S[1:], 1)) for t in (p + q, p, q, 0 * p)]
+    return np.abs(f[0] - f[1] - f[2] + f[3])
 
 
 def _solve_branch(C, diag, zero_tol):
     n = len(diag)
     S = np.diag(np.asarray(diag, dtype=complex))[None]
     for span in range(1, n):
-        poly, nonlinear = _affine_poly(C, S)
+        poly, curvature = _affine_poly(C, S), _second_difference(C, S)
         for i in range(n - span):
             j = i + span
-            if nonlinear[i, j] > 0 and _second_difference(C, S, i, j) > zero_tol:
+            if curvature[i, j] > zero_tol:
                 raise NonAffineFamilyError(
                     "product of two parameter-dependent entries; "
                     "the solvent family is not affine in its free parameters"
@@ -313,7 +312,7 @@ def _solve_branch(C, diag, zero_tol):
             S[-1, i, j] = 1.0
             # the stack gained a parameter, and an elimination changes both b of
             # the later entries here and which entries depend on parameters
-            poly, nonlinear = _affine_poly(C, S)
+            poly, curvature = _affine_poly(C, S), _second_difference(C, S)
     if len(S) == 1:
         return TriangularSolventFamily(kind="unique", diagonal=tuple(diag), base=S[0])
     return TriangularSolventFamily(

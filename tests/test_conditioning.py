@@ -15,6 +15,7 @@ from invpairs import (
     frobenius_weights,
     pair_backward_error,
     pair_condition_number,
+    refine_pair,
     solvent_backward_error,
     solvent_condition_number,
 )
@@ -359,6 +360,73 @@ class TestSminIdentity:
             want = _r_factor_kappa(solvent_jacobian(P, S), g, np.linalg.norm(S))
             assert solvent_condition_number(P, S) == pytest.approx(want, rel=1e-12), n
         assert [declined for _, declined in seen] == [False] * 7
+
+
+# Weighted size of the coefficient perturbations in TestKappaPredictsMovement,
+# and the slack allowed on the first-order prediction kappa * DELTA: the
+# second-order terms are O(kappa^2 DELTA^2), about 3e-4 relative here
+DELTA = 1e-7
+FIRST_ORDER_SLACK = 1e-2
+
+
+def _movement(P, X, S, e):
+    """Forward error of the exact pair (X, S) of P after perturbing P along e.
+
+    e stacks vec(Delta A_i) / alpha_i for i = ell..0 (the columns of
+    perturbation_matrix, column-major vec).  The pair is refined on the
+    perturbed P; its change, with the component along the directions
+    {(X G, S G - G S)} that leave the pair's subspace alone removed by least
+    squares, is divided by ||[X; S]||_F.
+    """
+    n, k = X.shape
+    alphas = frobenius_weights(P).alphas
+    blocks = e.reshape(P.degree + 1, n * n)[::-1]
+    moved = MatrixPolynomial([A + a * E.reshape((n, n), order="F")
+                              for A, a, E in zip(P.coeffs, alphas, blocks)])
+    pair, report = refine_pair(moved, X, S, tol=1e-14, maxit=10)
+    assert report.converged
+    gauge = np.empty((n * k + k * k, k * k), dtype=complex)
+    for q in range(k * k):
+        G = np.zeros((k, k))
+        G.flat[q] = 1.0
+        gauge[:, q] = np.concatenate([(X @ G).ravel(), (S @ G - G @ S).ravel()])
+    d = np.concatenate([(pair.X - X).ravel(), (pair.S - S).ravel()])
+    d -= gauge @ np.linalg.lstsq(gauge, d, rcond=None)[0]
+    return np.linalg.norm(d) / math.hypot(np.linalg.norm(X), np.linalg.norm(S))
+
+
+KAPPA_CASES = pytest.mark.parametrize("n, k", [(10, 2), (10, 4), (20, 2), (20, 4)])
+
+
+class TestKappaPredictsMovement:
+    """kappa * delta against how far an exact pair moves when the coefficients
+    move by delta in the weighted norm."""
+
+    @staticmethod
+    def _case(n, k):
+        rng = np.random.default_rng(100 * n + k)
+        P, B = _product_problem(rng, n)
+        vals, vecs = np.linalg.eig(B)
+        return rng, P, vecs[:, :k], np.diag(vals[:k])
+
+    @KAPPA_CASES
+    def test_random_directions_stay_below_kappa_delta(self, n, k):
+        rng, P, X, S = self._case(n, k)
+        kappa = pair_condition_number(P, X, S)
+        for _ in range(3):
+            e = _random(rng, (P.degree + 1) * n * n)
+            moved = _movement(P, X, S, DELTA * e / np.linalg.norm(e))
+            assert moved <= kappa * DELTA * (1.0 + FIRST_ORDER_SLACK)
+
+    @KAPPA_CASES
+    def test_worst_direction_reaches_kappa_delta(self, n, k):
+        # the top right singular vector of J^+ B_A, in the weighted variables
+        _, P, X, S = self._case(n, k)
+        J = np.hstack(_kron_jacobian(P, X, S))
+        M = np.linalg.pinv(J) @ perturbation_matrix(P, X, S)
+        worst = np.linalg.svd(M, full_matrices=False)[2][0].conj()
+        moved = _movement(P, X, S, DELTA * worst)
+        assert abs(moved / (pair_condition_number(P, X, S) * DELTA) - 1.0) <= FIRST_ORDER_SLACK
 
 
 class TestWeights:

@@ -627,8 +627,17 @@ class TestRefineSolvent:
             sol, report = refine_solvent(P, S0)
         assert report.converged
         assert np.isfinite(report.residual_history).all()
-        assert np.all(sol.S == 0.0)
+        assert np.linalg.norm(sol.S) <= 1e-12
         assert verify_solvent(P, sol.S).certified
+
+    def test_tiny_solvent_converges_quadratically(self):
+        # the iterates shrink quadratically towards S = 0; the residual is
+        # relative to max(||S||_F, 1), so they count as converged on the way
+        # instead of only once S underflows to exactly 0
+        P = MatrixPolynomial([np.zeros((2, 2)), np.diag([1.0, 2.0]), np.eye(2)])
+        sol, report = refine_solvent(P, 1e-3 * np.ones((2, 2)), maxit=3)
+        assert report.converged
+        assert np.linalg.norm(sol.S) <= 1e-12
 
     @pytest.mark.parametrize("S0, match", [
         (np.ones(2), "S must be square"),

@@ -58,6 +58,14 @@ def export(rev, dest):
     return dest
 
 
+def refuse_dirty():
+    """Exit while src/ or bench/ has uncommitted changes, which an export of HEAD would lack."""
+    dirty = _git("status", "--porcelain", "--", "src", "bench")
+    if dirty:
+        raise SystemExit("src/ or bench/ has uncommitted changes, which the child export (HEAD) "
+                         f"would not contain; commit or stash them first:\n{dirty}")
+
+
 def run_bench(tree, workload, seed, seconds):
     """One benchmark run in `tree`; returns (env, result) from its last two lines."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -147,10 +155,7 @@ def main(argv=None):
                     help="seeds run after --seeds and reported on their own")
     args = ap.parse_args(argv)
 
-    dirty = _git("status", "--porcelain", "--", "src", "bench")
-    if dirty:
-        raise SystemExit("src/ or bench/ has uncommitted changes, which the child export (HEAD) "
-                         f"would not contain; commit or stash them first:\n{dirty}")
+    refuse_dirty()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     out = ROOT / f"BENCH_{args.workload}.json"
