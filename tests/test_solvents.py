@@ -325,9 +325,9 @@ class TestTriangularSeeded:
 
     @pytest.mark.parametrize("seed, want", [(275, "ff" + "-" * 30), (383, "-" * 16)], ids=["275", "383"])
     def test_cancelling_products_are_affine(self, seed, want):
-        # the absolute-value bound sees a product of parameters at some entry,
-        # but the products cancel exactly: the entry's second difference in
-        # the parameters is roundoff, so the branch is solved, not raised
+        # products of parameters enter some entry's equation but cancel
+        # exactly: the entry's second difference in the parameters is
+        # roundoff, so the branch is solved, not raised
         T = _random_triangular(seed)
         families = triangular_solvent_solve(T)
         assert "".join(KIND_LETTER[f.kind] for f in families) == want
