@@ -6,11 +6,14 @@ EPS = float(np.finfo(float).eps)
 
 
 def rank_tolerance(a, svals):
-    """Singular-value cutoff max(rows, cols) * eps * sigma_max."""
-    a = np.asarray(a)
-    if svals.size == 0:
+    """Singular-value cutoff max(rows, cols) * eps * sigma_max.
+
+    For a stack of matrices, shaped (..., rows, cols), with `svals` their
+    singular values, shaped (..., k), the cutoffs come back one per matrix.
+    """
+    if svals.shape[-1] == 0:
         return 0.0
-    return max(a.shape) * EPS * float(svals[0])
+    return max(np.shape(a)[-2:]) * EPS * svals[..., 0]
 
 
 def require_finite(a, what):
@@ -24,13 +27,16 @@ def numerical_rank(a):
     """Number of singular values of `a` above the repo-wide cutoff.
 
     The cutoff is max(rows, cols) * eps * sigma_max, so the zero matrix has
-    rank 0 and exact-integer matrices of low rank are detected reliably.
+    rank 0 and exact-integer matrices of low rank are detected reliably.  A
+    stack of matrices, shaped (..., rows, cols), takes one stacked SVD and
+    gives an integer array of ranks, one per matrix.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
     svals = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(svals > rank_tolerance(a, svals)))
+    above = svals > np.expand_dims(rank_tolerance(a, svals), -1)
+    return int(np.count_nonzero(above)) if a.ndim == 2 else np.count_nonzero(above, axis=-1)
 
 
 def cluster_eigenvalues(values, rel_tol=1e-6, scale=None):

@@ -14,6 +14,14 @@ parameters (the solvent families of problems with infinitely many solvents)
 or kill the branch.  S_t is kept as an affine stack, a constant matrix and
 one direction per free parameter, and one Horner evaluation of the
 polynomial on the stack gives b for a whole superdiagonal.
+
+Both combinatorial searches run on stacked arrays rather than one small
+matrix at a time: the B eigenpair subsets as (B, n, n) stacks of W, and the
+diagonal branches as one (G, 1, n, n) stack of affine stacks that a branch
+leaves only when one of its entries turns out free.  A stack holds B n^2
+(or G n^2) complex entries; B <= MAX_SUBSETS and G <= BRANCH_CAP, and any
+stack larger than 16 MiB, which only large n can reach, is split into
+chunks.
 """
 
 import itertools
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyroots
 
 from .matpoly import (
     MatrixPolynomial, _horner_at_matrix, _powers, companion_linearization, eval_matrix, eval_scalar,
@@ -48,6 +56,10 @@ __all__ = [
 # diagonal branches triangular_solvent_solve solves.
 MAX_SUBSETS = 10_000
 BRANCH_CAP = 1_000
+
+# Largest number of complex entries (16 MiB) in one stack of subset or branch
+# matrices; longer enumerations and branch lists are solved in chunks.
+_STACK_ENTRIES = 1 << 20
 
 # Seed of the parameter draws that test an equation for products of
 # parameters; a fixed draw keeps the triangular solve deterministic.
@@ -121,8 +133,21 @@ class TriangularSolventFamily:
 
 
 def _similarity(X, D):
-    """X D X^{-1}, by a transposed solve instead of an inverse."""
-    return np.linalg.solve(X.T, (X @ D).T).T
+    """X D X^{-1} for a matrix or a stack of them, by a transposed solve instead of an inverse."""
+    return np.swapaxes(np.linalg.solve(np.swapaxes(X, -1, -2), np.swapaxes(X @ D, -1, -2)), -1, -2)
+
+
+def _chunks(items, n):
+    """Consecutive slices of `items` whose stacks of n-by-n matrices fit in _STACK_ENTRIES."""
+    size = max(1, _STACK_ENTRIES // (n * n))
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
+
+
+def _frobenius_norms(R):
+    """||R_b||_F of every matrix of a C-ordered stack, summed as np.linalg.norm(R_b, "fro") sums."""
+    flat = R.reshape(len(R), 1, R.shape[-2] * R.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)).ravel()
 
 
 def solvent_from_pair(P, pair):
@@ -147,7 +172,13 @@ def enumerate_solvents(P, eigpairs):
     W diag(mu_i) W^{-1} is a solvent; subsets failing the independence gate
     are reported in the second return value as index tuples.  Enumeration is
     exhaustive in lexicographic order and refuses more than MAX_SUBSETS
-    combinations.
+    combinations before any work is done.
+
+    The subsets are evaluated as stacks: all B subsets' W as one (B, n, n)
+    array, one stacked SVD for the gate, one stacked solve for the
+    similarities and one Horner evaluation for the residuals.  Each stack
+    holds B n^2 complex entries, at most 16 MiB; longer enumerations (large
+    n, since B <= MAX_SUBSETS) run in chunks.
     """
     n = P.n
     p = len(eigpairs)
@@ -155,14 +186,20 @@ def enumerate_solvents(P, eigpairs):
         raise ValueError(f"need at least n={n} eigenpairs, got {p}")
     if math.comb(p, n) > MAX_SUBSETS:
         raise ValueError(f"{math.comb(p, n)} subsets exceed the cap of {MAX_SUBSETS}")
+    mu = np.array([complex(lam) for lam, _ in eigpairs])
+    V = np.array([np.ravel(w) for _, w in eigpairs], dtype=complex)
     solvents, rejected = [], []
-    for idx in itertools.combinations(range(p), n):
-        W = np.column_stack([np.asarray(eigpairs[i][1], dtype=complex) for i in idx])
-        if numerical_rank(W) < n:
-            rejected.append(idx)
-            continue
-        S = _similarity(W, np.diag([complex(eigpairs[i][0]) for i in idx]))
-        solvents.append(Solvent(S, float(np.linalg.norm(eval_matrix(P, S), "fro"))))
+    for part in _chunks(list(itertools.combinations(range(p), n)), n):
+        idx = np.array(part)
+        W = np.swapaxes(V[idx], -1, -2)
+        independent = numerical_rank(W) == n
+        rejected += [c for c, ok in zip(part, independent) if not ok]
+        idx, W = idx[independent], W[independent]
+        D = np.zeros_like(W)
+        D[:, range(n), range(n)] = mu[idx]
+        S = _similarity(W, D)
+        residuals = _frobenius_norms(_horner_at_matrix(P.coeffs, S))
+        solvents += [Solvent(s, r) for s, r in zip(S, residuals)]
     return solvents, rejected
 
 
@@ -199,7 +236,7 @@ def _distinct_roots(coeffs):
     nz = np.nonzero(np.abs(coeffs) > 0)[0]
     if nz.size == 0 or nz.max() == 0:
         raise ValueError("diagonal polynomial is constant; no roots to branch on")
-    roots = Polynomial(coeffs[: nz.max() + 1]).roots()
+    roots = polyroots(coeffs[: nz.max() + 1])
     scale = max(1.0, float(np.abs(roots).max()))
     return [val for val, _ in cluster_eigenvalues(roots, rel_tol=1e-8, scale=scale)]
 
@@ -221,11 +258,19 @@ def triangular_solvent_solve(T):
     and S[1 + q] the direction of free parameter q.  An entry of span s
     reads only entries of smaller span, so one evaluation of sum_p T_p S^p
     on the stack, while the span-s entries are still zero, gives b for the
-    whole superdiagonal; it is repeated only after a parameter is added or
-    eliminated.  Each evaluation also takes the second difference in the
-    parameters at seeded random values; where it exceeds the zero tolerance,
-    the entry's equation holds a product of parameter-dependent entries that
-    does not cancel, and NonAffineFamilyError is raised.
+    whole superdiagonal.  Each evaluation also takes the second difference
+    in the parameters at seeded random values; where it exceeds the zero
+    tolerance, the entry's equation holds a product of parameter-dependent
+    entries that does not cancel, and NonAffineFamilyError is raised.
+
+    The branches are solved together: their stacks form one (G, 1, n, n)
+    array, each superdiagonal costs one stacked evaluation, and a depends
+    only on the two diagonal roots, so it is taken once per pair of roots.
+    A branch whose entry is degenerate leaves with its changed stack and
+    goes on alone from the next entry; its stack is evaluated again only
+    if an entry is left to read it.  The stack holds G n^2 complex entries,
+    at most 16 MiB; more branches (large n, since G <= BRANCH_CAP) are
+    solved in chunks.
 
     Returns one TriangularSolventFamily per branch, in the deterministic
     order of the root product; more than BRANCH_CAP branches raise
@@ -236,88 +281,158 @@ def triangular_solvent_solve(T):
         raise ValueError("all coefficients must be upper triangular")
     zero_tol = math.sqrt(EPS) * max(1.0, float(np.abs(C).max()))
 
-    root_choices = [_distinct_roots(C[:, i, i]) for i in range(T.n)]
-    total = math.prod(len(r) for r in root_choices)
+    n = T.n
+    roots = [_distinct_roots(C[:, i, i]) for i in range(n)]
+    total = math.prod(len(r) for r in roots)
     if total > BRANCH_CAP:
         raise ValueError(f"{total} diagonal branches exceed the cap of {BRANCH_CAP}")
-    return [_solve_branch(C, diag, zero_tol) for diag in itertools.product(*root_choices)]
+    choices = _chunks(list(itertools.product(*(range(len(r)) for r in roots))), n)
+    diagonals = _chunks(list(itertools.product(*roots)), n)
+    families = []
+    for part, diags in zip(choices, diagonals):
+        families += _solve_branches(C, roots, np.array(part), diags, zero_tol)
+    return families
 
 
 def _divided_difference(diag_coeffs, x, y):
     """sum_p c_p * h_{p-1}(x, y) with h the complete homogeneous sums."""
     total = 0.0 + 0.0j
     for p in range(1, len(diag_coeffs)):
-        h = sum(x ** r * y ** (p - 1 - r) for r in range(p))
+        h = 0
+        for r in range(p):
+            h += x ** r * y ** (p - 1 - r)
         total += diag_coeffs[p] * h
     return total
 
 
-def _affine_poly(C, S):
-    """The affine part of sum_p C_p S^p for the affine stack S, by Horner.
+def _entry_factors(C, roots, choices, zero_tol):
+    """-1/a of the equation a x + b = 0 of every entry (i, j) on every branch,
+    shaped (G, n, n); NaN where a is zero and the equation does not fix x.
 
-    Returns a stack shaped like S; the terms of degree >= 2 in the
-    parameters are dropped.
+    a depends only on the diagonal roots x_ii and x_jj, so it is taken once
+    per pair of roots and gathered for the branches.
+    """
+    G, n = choices.shape
+    out = np.full((G, n, n), np.nan, dtype=complex)
+    for j in range(n):
+        for i in range(j):
+            table = np.full((len(roots[i]), len(roots[j])), np.nan, dtype=complex)
+            for r, x in enumerate(roots[i]):
+                for c, y in enumerate(roots[j]):
+                    a = _divided_difference(C[:, i, i], x, y)
+                    if abs(a) > zero_tol:
+                        table[r, c] = -1.0 / a
+            out[:, i, j] = table[choices[:, i], choices[:, j]]
+    return out
+
+
+def _affine_poly(C, S):
+    """The affine part of sum_p C_p S^p for each affine stack S[g], by Horner.
+
+    Returns a stack of stacks shaped like S, (G, 1 + q, n, n); the terms of
+    degree >= 2 in the parameters are dropped.
     """
     acc = np.zeros_like(S)
-    acc[0] = C[-1]
+    acc[:, 0] = C[-1]
     for Cp in C[-2::-1]:
-        nxt = acc[0] @ S
-        nxt[1:] += acc[1:] @ S[0]
-        nxt[0] += Cp
+        nxt = acc[:, :1] @ S
+        if S.shape[1] > 1:
+            nxt[:, 1:] += acc[:, 1:] @ S[:, :1]
+        nxt[:, 0] += Cp
         acc = nxt
     return acc
 
 
 def _second_difference(C, S):
     """|f(p + q) - f(p) - f(q) + f(0)| entrywise for f = sum_p C_p S^p over
-    the parameters of the affine stack S, at seeded random p and q.
+    the parameters of each affine stack S[g], at seeded random p and q.
 
     An entry is roundoff where f is affine in the parameters, and almost
-    surely is not otherwise; it is zero without parameters.
+    surely is not otherwise.  The stacks must have parameters; returns a
+    (G, n, n) array.
     """
-    if len(S) == 1:
-        return np.zeros(S.shape[1:])
+    k = S.shape[1]
     rng = np.random.default_rng(_SECOND_DIFFERENCE_SEED)
-    p, q = (rng.standard_normal(len(S) - 1) + 1j * rng.standard_normal(len(S) - 1) for _ in range(2))
-    f = [_horner_at_matrix(C, S[0] + np.tensordot(t, S[1:], 1)) for t in (p + q, p, q, 0 * p)]
+    p, q = (rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1) for _ in range(2))
+    f = [_horner_at_matrix(C, S[:, 0] + np.tensordot(t, S[:, 1:], ([0], [1]))) for t in (p + q, p, q, 0 * p)]
     return np.abs(f[0] - f[1] - f[2] + f[3])
 
 
-def _solve_branch(C, diag, zero_tol):
-    n = len(diag)
-    S = np.diag(np.asarray(diag, dtype=complex))[None]
-    for span in range(1, n):
-        poly, curvature = _affine_poly(C, S), _second_difference(C, S)
-        for i in range(n - span):
-            j = i + span
-            if curvature[i, j] > zero_tol:
+def _solve_branches(C, roots, choices, diagonals, zero_tol):
+    """Families of the branches whose x_ii is roots[i][choices[g, i]], in order;
+    diagonals[g] holds those roots.
+
+    The branches start as one group, a (G, 1, n, n) stack of affine stacks,
+    and each superdiagonal costs one stacked evaluation and one stacked
+    update of its entries.  A branch whose entry is free (a = 0) leaves its
+    group with its changed stack and goes on from the next entry as a group
+    of one, evaluated again only if an entry is left to read the result.
+    """
+    G, n = choices.shape
+    factors = _entry_factors(C, roots, choices, zero_tol)
+    S = np.zeros((G, 1, n, n), dtype=complex)
+    S[:, 0, range(n), range(n)] = diagonals
+    families = [None] * G
+    groups = [(np.arange(G), S, 1, 0)]
+    while groups:
+        members, S, span, start = groups.pop()
+        while span < n and len(members):
+            poly = _affine_poly(C, S)
+            ii = np.arange(start, n - span)
+            jj = ii + span
+            inv = factors[members[:, None], ii, jj]
+            free = np.isnan(inv)
+            # a branch reads its entries up to the first free one, where it
+            # leaves the group
+            first = np.where(free.any(axis=1), free.argmax(axis=1), len(ii))
+            position = np.arange(len(ii))
+            if S.shape[1] > 1 and np.any(
+                (_second_difference(C, S)[:, ii, jj] > zero_tol) & (position <= first[:, None])
+            ):
                 raise NonAffineFamilyError(
                     "product of two parameter-dependent entries; "
                     "the solvent family is not affine in its free parameters"
                 )
-            a = _divided_difference(C[:, i, i], diag[i], diag[j])
-            b = poly[:, i, j]
-            if abs(a) > zero_tol:
-                S[:, i, j] = b * (-1.0 / a)
-                continue
-            if np.abs(b[1:]).sum() > zero_tol:
-                # a = 0 but b depends on earlier parameters: the equation fixes
-                # one of them (leaving this entry itself free) instead of this entry
-                key = 1 + int(np.argmax(np.abs(b[1:])))
-                value = np.delete(b, key) * (-1.0 / b[key])
-                S = np.delete(S, key, 0) + value[:, None, None] * S[key]
-            elif abs(b[0]) > zero_tol:
-                return TriangularSolventFamily(kind="none", diagonal=tuple(diag))
-            S = np.concatenate([S, np.zeros((1, n, n), dtype=complex)])
-            S[-1, i, j] = 1.0
-            # the stack gained a parameter, and an elimination changes both b of
-            # the later entries here and which entries depend on parameters
-            poly, curvature = _affine_poly(C, S), _second_difference(C, S)
-    if len(S) == 1:
-        return TriangularSolventFamily(kind="unique", diagonal=tuple(diag), base=S[0])
-    return TriangularSolventFamily(
-        kind="affine-family", diagonal=tuple(diag), base=S[0], directions=tuple(S[1:])
-    )
+            update = poly[:, :, ii, jj] * inv[:, None, :]
+            leaving = first < len(ii)
+            if leaving.any():
+                # a leaving branch's later entries are read from its changed stack
+                update = np.where((position < first[:, None])[:, None, :], update, 0)
+            S[:, :, ii, jj] = update
+            for m in np.flatnonzero(leaving):
+                i = int(ii[first[m]])
+                stack = _free_entry(S[m], poly[m, :, i, i + span], i, i + span, zero_tol)
+                if stack is None:
+                    families[members[m]] = TriangularSolventFamily(kind="none", diagonal=diagonals[members[m]])
+                else:
+                    resume = (span, i + 1) if i + 1 < n - span else (span + 1, 0)
+                    groups.append((members[m:m + 1], stack[None], *resume))
+            members, S = members[~leaving], S[~leaving]
+            span, start = span + 1, 0
+        for g, stack in zip(members, S):
+            if len(stack) == 1:
+                families[g] = TriangularSolventFamily(kind="unique", diagonal=diagonals[g], base=stack[0])
+            else:
+                families[g] = TriangularSolventFamily(
+                    kind="affine-family", diagonal=diagonals[g], base=stack[0], directions=tuple(stack[1:])
+                )
+    return families
+
+
+def _free_entry(S, b, i, j, zero_tol):
+    """The affine stack S after entry (i, j) turns out free (a = 0), with b
+    the entry's b; None when b is a nonzero constant and the branch dies."""
+    if np.abs(b[1:]).sum() > zero_tol:
+        # b depends on earlier parameters: the equation fixes one of them
+        # (leaving this entry itself free) instead of this entry
+        key = 1 + int(np.argmax(np.abs(b[1:])))
+        value = np.delete(b, key) * (-1.0 / b[key])
+        S = np.delete(S, key, 0) + value[:, None, None] * S[key]
+    elif abs(b[0]) > zero_tol:
+        return None
+    S = np.concatenate([S, np.zeros((1, *S.shape[1:]), dtype=complex)])
+    S[-1, i, j] = 1.0
+    return S
 
 
 def solvent_from_triangular(P, M, S_t, tol=1e-8):

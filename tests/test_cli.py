@@ -1,14 +1,17 @@
 import copy
 import importlib.resources
 import json
+import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from invpairs import MatrixPolynomial, problems
 from invpairs.cli import (
     ProblemFormatError,
     _run_single_check,
+    main,
     parse_problem,
     run_command,
     run_golden_checks,
@@ -365,6 +368,24 @@ class TestExitCodes:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run_command(["count", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("argv, status", [
+        (["count", data_file("ss_2x2.json"), "--center", "1,0", "--radius", "0.5"], 0),
+        (["count", "/nonexistent.json"], 1),
+    ], ids=["ok", "usage"])
+    def test_main_exits_with_the_command_status(self, monkeypatch, argv, status):
+        # the console-script entry point reads sys.argv and exits with
+        # run_command's status, its output on the real streams
+        monkeypatch.setattr(sys, "argv", ["invpairs", *argv])
+        with CliRunner().isolation() as streams:
+            with pytest.raises(SystemExit) as exit_info:
+                main()
+            out, err = streams[0].getvalue().decode(), streams[1].getvalue().decode()
+        assert exit_info.value.code == status
+        if status == 0:
+            assert json.loads(out)["count"] == 3
+        else:
+            assert out == "" and err.startswith("error:")
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

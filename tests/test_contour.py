@@ -133,6 +133,7 @@ class TestScalarMoments:
 class TestBlockMoments:
     def test_golden_block_moments(self, multi_3x3, golden_contours):
         bmoms = block_moments(multi_3x3, golden_contours["multi_3x3"], U3, V3, count=6)
+        assert (bmoms.xi, len(bmoms)) == (U3.shape[1], 6)
         for got, want in zip(bmoms.moments, GOLDEN_BLOCK_MOMENTS):
             assert np.abs(got - want).max() <= 1e-8
 

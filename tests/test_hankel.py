@@ -109,6 +109,17 @@ class TestNumericalRank:
         H_bad[4, 4] = 63.0
         assert numerical_rank(H_bad) == 4
 
+    def test_stack_gives_the_rank_of_each_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        stack[1, :, 3] = stack[1, :, 0] - 2j * stack[1, :, 2]
+        stack[2, :, 2:] = 0.0
+        stack[3] = 0.0
+        stack[4] *= 1e-200
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [4, 3, 2, 0, 4]
+        assert ranks.tolist() == [numerical_rank(M) for M in stack]
+
 
 class TestCompanionFromPencil:
     def test_golden_4x4(self, diag_4x4, golden_contours):

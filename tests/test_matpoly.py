@@ -56,6 +56,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="singular"):
             MatrixPolynomial([A, A])
 
+    def test_repr_and_equality(self, ss_2x2):
+        assert repr(ss_2x2) == "MatrixPolynomial(n=2, degree=2)"
+        assert ss_2x2 == MatrixPolynomial(ss_2x2.coeffs)
+        shifted = [ss_2x2.coeffs[0] + 1.0, *ss_2x2.coeffs[1:]]
+        assert ss_2x2 != MatrixPolynomial(shifted)
+        assert ss_2x2 != MatrixPolynomial([*ss_2x2.coeffs, np.eye(2)])
+        assert ss_2x2 != list(ss_2x2.coeffs)
+        pair = InvariantPair(np.ones((2, 1)), [[3.0]])
+        assert (repr(pair), pair.n, pair.k) == ("InvariantPair(n=2, k=1)", 2, 1)
+
     def test_coefficients_are_frozen(self, ss_2x2):
         with pytest.raises(ValueError):
             ss_2x2.coeffs[0][0, 0] = 5.0

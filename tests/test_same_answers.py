@@ -139,3 +139,19 @@ def test_refuses_to_run_with_uncommitted_source(monkeypatch):
     monkeypatch.setattr(sa.subprocess, "run", no_subprocess)
     with pytest.raises(SystemExit, match="src/ or bench/ has uncommitted changes"):
         sa.main(["--parent", "HEAD~1", "--seeds", "1"])
+
+
+@pytest.mark.parametrize("argv, want", [
+    ([], ["extract", "refine", "certify"]),
+    (["--workload", "certify"], ["certify"]),
+    (["--workload", "certify", "--workload", "extract", "--workload", "certify"], ["extract", "certify"]),
+], ids=["default", "one", "repeated"])
+def test_workload_option_picks_what_runs(monkeypatch, tmp_path, argv, want):
+    sa = _load()
+    ran = []
+    monkeypatch.setattr(sa.ab, "refuse_dirty", lambda: None)
+    monkeypatch.setattr(sa.ab, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(sa.ab, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(sa, "collect", lambda tree, workload, seeds: ran.append((tree.name, workload)) or [])
+    assert sa.main(["--seeds", "1", *argv]) == 0
+    assert ran == [(side, w) for w in want for side in ("parent", "child")]

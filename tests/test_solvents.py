@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from invpairs.solvents import (
     SingularLeadingBlockError,
     SingularTransformationError,
 )
-from invpairs import problems
+from invpairs import problems, solvents
 
 from conftest import QUAD_EIGENPAIRS, QUAD_SOLVENT_SET
 
@@ -107,7 +109,92 @@ class TestSolventFromPair:
             solvent_from_pair(quad_2x2, InvariantPair(X, np.diag([1.0, 2.0])))
 
 
+def _enumerate_by_loop(P, eigpairs):
+    """enumerate_solvents one subset at a time, with numpy only: the same
+    rank cutoff, transposed solve and Horner residual."""
+    n = P.n
+    found, rejected = [], []
+    for idx in itertools.combinations(range(len(eigpairs)), n):
+        W = np.column_stack([np.asarray(eigpairs[i][1], dtype=complex) for i in idx])
+        svals = np.linalg.svd(W, compute_uv=False)
+        if np.count_nonzero(svals > n * np.finfo(float).eps * svals[0]) < n:
+            rejected.append(idx)
+            continue
+        S = np.linalg.solve(W.T, (W @ np.diag([complex(eigpairs[i][0]) for i in idx])).T).T
+        R = P.coeffs[-1]
+        for A in P.coeffs[-2::-1]:
+            R = R @ S + A
+        found.append((S, float(np.linalg.norm(R, "fro"))))
+    return found, rejected
+
+
+def _companion_eigenpairs(P):
+    vals, vecs = np.linalg.eig(companion_linearization(P))
+    return [(vals[i], vecs[:P.n, i]) for i in range(len(vals))]
+
+
+def _seeded_quadratic(n):
+    """A monic quadratic with seeded complex coefficients and its companion eigenpairs."""
+    rng = np.random.default_rng(40 + n)
+    A0, A1 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    P = MatrixPolynomial([A0, A1, np.eye(n)])
+    return P, _companion_eigenpairs(P)
+
+
+def _shared_eigenvectors_3x3():
+    """Q diag((z - 1)(z - 2), (z - 3)(z - 4), (z - 5)(z - 6)) Q^-1 with its
+    eigenpairs: each column of Q belongs to two eigenvalues, so the 12
+    subsets that hold both copies of a column are rejected."""
+    Q = np.random.default_rng(8).standard_normal((3, 3))
+    roots = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    diags = [roots.prod(axis=1), -roots.sum(axis=1), np.ones(3)]
+    P = MatrixPolynomial([Q @ np.diag(d) @ np.linalg.inv(Q) for d in diags])
+    return P, [(complex(r), Q[:, i]) for i in range(3) for r in roots[i]]
+
+
 class TestEnumerateSolvents:
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(_seeded_quadratic(n), id=f"quadratic-n{n}") for n in (2, 3, 4, 5)),
+        pytest.param(_shared_eigenvectors_3x3(), id="shared-eigenvectors"),
+    ])
+    def test_stacked_subsets_match_a_loop_bit_for_bit(self, case):
+        P, eigpairs = case
+        sols, rejected = enumerate_solvents(P, eigpairs)
+        want, want_rejected = _enumerate_by_loop(P, eigpairs)
+        assert len(sols) + len(rejected) == math.comb(len(eigpairs), P.n)
+        assert [s.S.tobytes() for s in sols] == [S.tobytes() for S, _ in want]
+        assert [s.residual for s in sols] == [r for _, r in want]
+        assert rejected == want_rejected == sorted(rejected)
+        assert all(type(i) is int for idx in rejected for i in idx)
+
+    def test_shared_eigenvectors_are_rejected(self):
+        P, eigpairs = _shared_eigenvectors_3x3()
+        sols, rejected = enumerate_solvents(P, eigpairs)
+        assert rejected == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 4, 5),
+                            (1, 2, 3), (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)]
+        assert len(sols) == 8
+        assert all(s.residual <= 1e-10 for s in sols)
+
+    def test_chunks_give_the_same_answers(self, monkeypatch):
+        P, eigpairs = _seeded_quadratic(4)
+        sols, rejected = enumerate_solvents(P, eigpairs)
+        monkeypatch.setattr(solvents, "_STACK_ENTRIES", 3 * 16)  # 3 subsets per chunk
+        chunked, chunked_rejected = enumerate_solvents(P, eigpairs)
+        assert [s.S.tobytes() for s in chunked] == [s.S.tobytes() for s in sols]
+        assert [s.residual for s in chunked] == [s.residual for s in sols]
+        assert chunked_rejected == rejected
+
+    def test_subset_cap_raises_before_allocating(self, quad_2x2):
+        pairs = QUAD_EIGENPAIRS * 50  # C(200, 2) = 19,900 subsets; their W alone take 1.3 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                enumerate_solvents(quad_2x2, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_complete_reference_set(self, quad_2x2):
         sols, rejected = enumerate_solvents(quad_2x2, QUAD_EIGENPAIRS)
         assert len(sols) == 5
@@ -313,6 +400,47 @@ class TestTriangularSeeded:
                 counts.update(f.kind for f in outcome)
         assert tuple(raised) == RAISING_SEEDS
         assert counts == BRANCH_COUNTS
+
+    def test_every_evaluation_is_read(self, monkeypatch):
+        # an evaluation of the stack serves the entries still to be solved on
+        # its superdiagonal; one made after the last entry, or made again on a
+        # stack that did not change, is never read
+        evaluations = []
+
+        class Tracked(np.ndarray):
+            read = False
+
+            def __getitem__(self, key):
+                self.read = True
+                return super().__getitem__(key)
+
+        def tracked_affine_poly(C, S):
+            out = affine_poly(C, S).view(Tracked)
+            evaluations.append(out)
+            return out
+
+        affine_poly = solvents._affine_poly
+        monkeypatch.setattr(solvents, "_affine_poly", tracked_affine_poly)
+        unread = []
+        for seed in range(400):
+            del evaluations[:]
+            if _solve_outcome(_random_triangular(seed)) is not NonAffineFamilyError:
+                unread += [seed for out in evaluations if not out.read]
+        assert unread == []
+
+    def test_chunks_give_the_same_families(self, monkeypatch):
+        # 24 branches, two per chunk; one of them is a family that eliminates
+        # a parameter
+        T = _random_triangular(2)
+        whole = triangular_solvent_solve(T)
+        monkeypatch.setattr(solvents, "_STACK_ENTRIES", 2 * T.n ** 2)
+        chunked = triangular_solvent_solve(T)
+        assert [(f.kind, f.diagonal) for f in chunked] == [(f.kind, f.diagonal) for f in whole]
+        for a, b in zip(chunked, whole):
+            assert (a.base is None) == (b.base is None)
+            if a.base is not None:
+                assert np.array(a.base).tobytes() == np.array(b.base).tobytes()
+                assert [d.tobytes() for d in a.directions] == [d.tobytes() for d in b.directions]
 
     def test_no_spurious_nonaffine_error(self):
         # some products the equations read have a factor whose parameter

@@ -1,6 +1,7 @@
 """Same answers: every benchmark job of a parent revision and of HEAD, run once on each side.
 
     python3 tools/same_answers.py --parent HEAD~1 --seeds 1-10
+    python3 tools/same_answers.py --parent HEAD~1 --seeds 1-10 --workload certify
 
 Both revisions are exported with `git archive` into one temporary directory,
 as tools/ab.py does, and the tool refuses to start while src/ or bench/ has
@@ -11,6 +12,9 @@ job it records the label, the status and counters, the raised error (type
 and message), the warning messages, and a SHA-256 digest of the result.
 Every job whose record differs between the sides is printed on one line,
 then a count per workload; the exit status is 1 on any difference.
+`--workload W` (repeatable; extract, refine or certify) limits the check to
+those workloads, so that a change confined to one layer can be checked on
+the workload that runs it; by default all three run.
 """
 
 import argparse
@@ -161,6 +165,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="revision to compare against (default HEAD~1)")
     ap.add_argument("--seeds", type=ab.parse_seeds, default=ab.parse_seeds("1-10"))
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+                    help="workload to compare (repeatable; default all three)")
     ap.add_argument("--worker", nargs=2, metavar=("TREE", "WORKLOAD"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -172,7 +178,7 @@ def main(argv=None):
     differ = 0
     with tempfile.TemporaryDirectory(prefix="invpairs-same-") as tmp:
         trees = {side: ab.export(shas[side], Path(tmp) / side) for side in ab.SIDES}
-        for workload in WORKLOADS:
+        for workload in (w for w in WORKLOADS if w in (args.workload or WORKLOADS)):
             records = {side: collect(trees[side], workload, args.seeds) for side in ab.SIDES}
             lines = compare(records["parent"], records["child"])
             for line in lines:
