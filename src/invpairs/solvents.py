@@ -15,13 +15,11 @@ or kill the branch.  S_t is kept as an affine stack, a constant matrix and
 one direction per free parameter, and one Horner evaluation of the
 polynomial on the stack gives b for a whole superdiagonal.
 
-Both combinatorial searches run on stacked arrays rather than one small
-matrix at a time: the B eigenpair subsets as (B, n, n) stacks of W, and the
-diagonal branches as one (G, 1, n, n) stack of affine stacks that a branch
-leaves only when one of its entries turns out free.  A stack holds B n^2
-(or G n^2) complex entries; B <= MAX_SUBSETS and G <= BRANCH_CAP, and any
-stack larger than 16 MiB, which only large n can reach, is split into
-chunks.
+Both searches run on stacked arrays, not one small matrix at a time: the B
+eigenpair subsets as a (B, n, n) stack of their W, the G diagonal branches
+as one (G, 1, n, n) stack of affine stacks.  A stack holds B n^2 or G n^2
+complex entries, with B <= MAX_SUBSETS and G <= BRANCH_CAP; one that would
+exceed 16 MiB, which only large n reaches, is split into chunks.
 """
 
 import itertools
@@ -176,9 +174,8 @@ def enumerate_solvents(P, eigpairs):
 
     The subsets are evaluated as stacks: all B subsets' W as one (B, n, n)
     array, one stacked SVD for the gate, one stacked solve for the
-    similarities and one Horner evaluation for the residuals.  Each stack
-    holds B n^2 complex entries, at most 16 MiB; longer enumerations (large
-    n, since B <= MAX_SUBSETS) run in chunks.
+    similarities and one Horner evaluation for the residuals.  A stack holds
+    B n^2 complex entries; beyond 16 MiB (large n) it is split into chunks.
     """
     n = P.n
     p = len(eigpairs)
@@ -258,19 +255,19 @@ def triangular_solvent_solve(T):
     and S[1 + q] the direction of free parameter q.  An entry of span s
     reads only entries of smaller span, so one evaluation of sum_p T_p S^p
     on the stack, while the span-s entries are still zero, gives b for the
-    whole superdiagonal.  Each evaluation also takes the second difference
-    in the parameters at seeded random values; where it exceeds the zero
-    tolerance, the entry's equation holds a product of parameter-dependent
-    entries that does not cancel, and NonAffineFamilyError is raised.
+    whole superdiagonal.  On a stack with parameters each evaluation also
+    takes the second difference in the parameters at seeded random values;
+    where it exceeds the zero tolerance, the entry's equation holds a
+    product of parameter-dependent entries that does not cancel, and
+    NonAffineFamilyError is raised.
 
-    The branches are solved together: their stacks form one (G, 1, n, n)
-    array, each superdiagonal costs one stacked evaluation, and a depends
-    only on the two diagonal roots, so it is taken once per pair of roots.
-    A branch whose entry is degenerate leaves with its changed stack and
-    goes on alone from the next entry; its stack is evaluated again only
-    if an entry is left to read it.  The stack holds G n^2 complex entries,
-    at most 16 MiB; more branches (large n, since G <= BRANCH_CAP) are
-    solved in chunks.
+    The branches are solved together as one (G, 1, n, n) stack: each
+    superdiagonal costs one stacked evaluation and one stacked update, and
+    a, which depends only on the two diagonal roots, is taken once per pair
+    of roots.  A branch whose entry is degenerate leaves with its changed
+    stack and goes on alone from the next entry; its stack is evaluated
+    again only if an entry is left to read the result.  The stack holds
+    G n^2 complex entries; beyond 16 MiB (large n) it is split into chunks.
 
     Returns one TriangularSolventFamily per branch, in the deterministic
     order of the root product; more than BRANCH_CAP branches raise
