@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots
 
 from .matpoly import (
     MatrixPolynomial, _horner_at_matrix, _powers, companion_linearization, eval_matrix, eval_scalar,
@@ -227,15 +226,33 @@ def verify_solvent(P, S, tol=1e-8):
 # upper triangular polynomials
 
 
-def _distinct_roots(coeffs):
-    """Distinct roots of a scalar polynomial, multiple roots merged once."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    nz = np.nonzero(np.abs(coeffs) > 0)[0]
-    if nz.size == 0 or nz.max() == 0:
+def _diagonal_roots(C):
+    """Distinct roots of each diagonal polynomial sum_p C[p, i, i] z^p,
+    multiple roots merged once.
+
+    The polynomials of one degree share one stacked eigenvalue call on their
+    companion matrices, which are built as numpy's polyroots builds them.
+    """
+    diags = np.diagonal(C, axis1=1, axis2=2).T
+    nonzero = np.abs(diags) > 0
+    degree = np.where(nonzero.any(axis=1), len(C) - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    if not degree.all():
         raise ValueError("diagonal polynomial is constant; no roots to branch on")
-    roots = polyroots(coeffs[: nz.max() + 1])
-    scale = max(1.0, float(np.abs(roots).max()))
-    return [val for val, _ in cluster_eigenvalues(roots, rel_tol=1e-8, scale=scale)]
+    roots = [None] * len(diags)
+    for d in np.unique(degree):
+        rows = np.flatnonzero(degree == d)
+        c = diags[rows, :d + 1]
+        if d == 1:
+            found = -c[:, :1] / c[:, 1:]
+        else:
+            companion = np.zeros((len(rows), d, d), dtype=complex)
+            companion[:, range(1, d), range(d - 1)] = 1
+            companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            found = np.sort(np.linalg.eigvals(companion), axis=-1)
+        for i, r in zip(rows, found):
+            scale = max(1.0, float(np.abs(r).max()))
+            roots[i] = [val for val, _ in cluster_eigenvalues(r, rel_tol=1e-8, scale=scale)]
+    return roots
 
 
 def triangular_solvent_solve(T):
@@ -279,7 +296,7 @@ def triangular_solvent_solve(T):
     zero_tol = math.sqrt(EPS) * max(1.0, float(np.abs(C).max()))
 
     n = T.n
-    roots = [_distinct_roots(C[:, i, i]) for i in range(n)]
+    roots = _diagonal_roots(C)
     total = math.prod(len(r) for r in roots)
     if total > BRANCH_CAP:
         raise ValueError(f"{total} diagonal branches exceed the cap of {BRANCH_CAP}")
@@ -309,17 +326,19 @@ def _entry_factors(C, roots, choices, zero_tol):
     a depends only on the diagonal roots x_ii and x_jj, so it is taken once
     per pair of roots and gathered for the branches.
     """
-    G, n = choices.shape
-    out = np.full((G, n, n), np.nan, dtype=complex)
-    for j in range(n):
-        for i in range(j):
-            table = np.full((len(roots[i]), len(roots[j])), np.nan, dtype=complex)
+    n = len(roots)
+    width = max(len(r) for r in roots)
+    table = np.full((n, width, n, width), np.nan, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
             for r, x in enumerate(roots[i]):
                 for c, y in enumerate(roots[j]):
                     a = _divided_difference(C[:, i, i], x, y)
                     if abs(a) > zero_tol:
-                        table[r, c] = -1.0 / a
-            out[:, i, j] = table[choices[:, i], choices[:, j]]
+                        table[i, r, j, c] = -1.0 / a
+    out = np.full((len(choices), n, n), np.nan, dtype=complex)
+    iu, ju = np.triu_indices(n, 1)
+    out[:, iu, ju] = table[iu, choices[:, iu], ju, choices[:, ju]]
     return out
 
 

@@ -24,6 +24,7 @@ from invpairs.solvents import (
     SingularTransformationError,
 )
 from invpairs import problems, solvents
+from invpairs._numeric import cluster_eigenvalues
 
 from conftest import QUAD_EIGENPAIRS, QUAD_SOLVENT_SET
 
@@ -305,6 +306,22 @@ class TestTriangularSolve:
         for fam in families:
             assert fam.kind == "unique"
             assert np.linalg.norm(eval_matrix(T, fam.member()), "fro") <= 1e-10
+
+    def test_diagonal_roots_row_by_row(self):
+        # diagonal polynomials of degrees 3, 1, 2 and 2 (zero leading entries
+        # lower the degree), one with a double root: each row's roots are
+        # numpy's polyroots of that row alone, clustered
+        rows = np.array([[-6, 11, -6, 1], [2, -1, 0, 0], [3, -4, 1, 0], [1, -2, 1, 0]], dtype=complex)
+        C = np.zeros((4, 4, 4), dtype=complex)
+        C[:, range(4), range(4)] = rows.T
+        for row, got in zip(rows, solvents._diagonal_roots(C)):
+            roots = np.polynomial.polynomial.polyroots(np.trim_zeros(row, "b"))
+            scale = max(1.0, float(np.abs(roots).max()))
+            assert got == [c for c, _ in cluster_eigenvalues(roots, rel_tol=1e-8, scale=scale)]
+        assert [len(r) for r in solvents._diagonal_roots(C)] == [3, 1, 2, 1]
+        C[:, 1, 1] = [5.0, 0, 0, 0]
+        with pytest.raises(ValueError, match="diagonal polynomial is constant"):
+            solvents._diagonal_roots(C)
 
     def test_rejects_non_triangular(self, quad_2x2):
         with pytest.raises(ValueError, match="upper triangular"):
