@@ -8,12 +8,13 @@ EPS = float(np.finfo(float).eps)
 def rank_tolerance(a, svals):
     """Singular-value cutoff max(rows, cols) * eps * sigma_max.
 
-    For a stack of matrices, shaped (..., rows, cols), with `svals` their
-    singular values, shaped (..., k), the cutoffs come back one per matrix.
+    Returned shaped (..., 1) like `svals` (..., k), so that it broadcasts
+    against them; for a stack of matrices, shaped (..., rows, cols), it
+    holds one cutoff per matrix.
     """
     if svals.shape[-1] == 0:
         return 0.0
-    return max(np.shape(a)[-2:]) * EPS * svals[..., 0]
+    return max(np.shape(a)[-2:]) * EPS * svals[..., :1]
 
 
 def require_finite(a, what):
@@ -35,7 +36,7 @@ def numerical_rank(a):
     if a.size == 0:
         return 0
     svals = np.linalg.svd(a, compute_uv=False)
-    above = svals > np.expand_dims(rank_tolerance(a, svals), -1)
+    above = svals > rank_tolerance(a, svals)
     return int(np.count_nonzero(above)) if a.ndim == 2 else np.count_nonzero(above, axis=-1)
 
 

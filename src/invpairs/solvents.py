@@ -141,7 +141,11 @@ def _chunks(items, n):
 
 
 def _frobenius_norms(R):
-    """||R_b||_F of every matrix of a C-ordered stack, summed as np.linalg.norm(R_b, "fro") sums."""
+    """||R_b||_F of every matrix of a C-ordered stack.
+
+    Each (1, m) @ (m, 1) product is the strided dot np.linalg.norm(R_b, "fro")
+    takes of the real and of the imaginary parts, so the values are its bits.
+    """
     flat = R.reshape(len(R), 1, R.shape[-2] * R.shape[-1])
     re, im = flat.real, flat.imag
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)).ravel()
