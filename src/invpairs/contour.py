@@ -26,8 +26,10 @@ extractors count by the argument principle, as the winding number of
 det P(z_j), and bisect an arc whose phase step is too large to trust; only
 where that gives up do they take the trace count, with a pass of its own.
 count_eigenvalues_inside, and with it the `count` command, keeps the trace
-of P(z)^{-1} P'(z) and its quality indicator.  Every solve on a live
-factor, Y_j and P(z_j)^{-1} P'(z_j) alike, is one LAPACK getrs call on it.
+of P(z)^{-1} P'(z) and its quality indicator.  Each node is factored in
+place by LAPACK getrf, its condition estimated by gecon and every solve on
+the live factor made by getrs; an exactly singular P(z_j) gets rcond = 0
+and raises EigenvalueOnContourError with cond = inf, without a warning.
 
 From n = 100 on, where two CPUs are usable, the pass splits the nodes into
 two contiguous halves, the second factored by a helper thread in a buffer
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs
 
 from .matpoly import _horner_into, eval_derivative
 from ._numeric import numerical_rank
@@ -85,7 +87,7 @@ _USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") 
 _NODE_WORKERS = min(2, _USABLE_CPUS)
 _SPLIT_MIN_N = 100
 
-_GECON, _GETRS = get_lapack_funcs(("gecon", "getrs"), dtype=complex)
+lu_factor, _GECON, _GETRS = get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=complex)
 
 
 class EigenvalueOnContourError(RuntimeError):
@@ -229,17 +231,19 @@ def _node_buffers(n):
 
 
 def _factor_in_place(buf, scratch, coeffs, z, t, node=None):
-    """LU factors of P(z), made in `buf`, and LAPACK's estimate of cond_1(P(z)).
+    """LU factors (lu, piv) of P(z), made in `buf`, and LAPACK's estimate of cond_1(P(z)).
 
     P(z) is evaluated into the Fortran-order buffer by Horner and factored
-    there without a copy.  Both buffers come from _node_buffers.  |P(z)| is
-    taken into scratch[1] in the buffer's order, then copied into the
-    C-order scratch[0] so that the column sums of the 1-norm accumulate row
-    by row, in the order np.linalg.norm uses on a C-order matrix; taking it
-    into C order directly would allocate an iterator buffer at every node.
-    A P(z) that is not finite raises ValueError naming t (and the node).
-    The caller silences LinAlgWarning and floating-point warnings and
-    judges P(z) by the estimate.
+    there without a copy by getrf, called as the module global lu_factor so
+    that a wrapper on that name counts every node.  Both buffers come from
+    _node_buffers.  |P(z)| is taken into scratch[1] in the buffer's order,
+    then copied into the C-order scratch[0] so that the column sums of the
+    1-norm accumulate row by row, in the order np.linalg.norm uses on a
+    C-order matrix; taking it into C order directly would allocate an
+    iterator buffer at every node.  A P(z) that is not finite raises
+    ValueError naming t (and the node); an exactly singular one gives
+    cond = inf.  The caller silences floating-point warnings and judges P(z)
+    by the gecon estimate.
     """
     _horner_into(buf, coeffs, z)
     rows, absval = scratch[0], scratch[1].T
@@ -249,9 +253,9 @@ def _factor_in_place(buf, scratch, coeffs, z, t, node=None):
         what = "has a 1-norm that overflows" if np.isfinite(buf).all() else "is not finite"
         where = f"node {node} (t = {t:.6f})" if node is not None else f"t = {t:.6f}"
         raise ValueError(f"P(z) {what} at {where}; scale the polynomial or shrink the contour")
-    lu = lu_factor(buf, overwrite_a=True, check_finite=False)
-    rcond, _ = _GECON(lu[0], anorm)
-    return lu, np.inf if rcond == 0 else 1.0 / rcond
+    lu, piv, _ = lu_factor(buf, overwrite_a=True)
+    rcond, _ = _GECON(lu, anorm)
+    return (lu, piv), np.inf if rcond == 0 else 1.0 / rcond
 
 
 def _node_pass(P, z, visit):
@@ -293,17 +297,14 @@ def _node_pass(P, z, visit):
                     failures[k] = err
                     return
 
-    # warning filters are process-wide, so only this thread may set them
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    finally:
         for helper in helpers:
-            helper.start()
-        try:
-            work(0)
-        finally:
-            for helper in helpers:
-                helper.join()
+            helper.join()
     for err in failures:
         if err is not None:
             raise err
@@ -473,8 +474,7 @@ def _winding_count(P, contour):
     c, phases = nodes.contour, nodes.phases
     dt = 2 * math.pi / c.nodes
     total = 0.0
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        warnings.simplefilter("ignore", LinAlgWarning)
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(c.nodes):
             turn = _arc_turn(P, c, j * dt, (j + 1) * dt, phases[j], phases[(j + 1) % c.nodes], 0)
             if turn is None:

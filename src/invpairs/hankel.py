@@ -9,8 +9,10 @@ the eigenvalues of P enclosed by the contour (under a geometric multiplicity
 one assumption for the scalar method).  The shift structure gives H0 C = H1
 for a companion matrix C whose last column solves H0 x = (mu_m..mu_{2m-1}),
 and the pair ([s_0 ... s_{m-1}], C) is an invariant pair of P.  Block
-moments generalize this; when the block pencil is larger than the number of
-enclosed eigenvalues it is truncated to its leading principal part.
+moments generalize this.  When the block pencil is larger than the number m
+of enclosed eigenvalues, C is the companion form of its leading m-by-m part:
+there column j < m - xi of H1 is still column j + xi of H0, so those columns
+of C are exact unit vectors and only the last xi are solved.
 """
 
 import math
@@ -125,17 +127,24 @@ def companion_from_pencil(hp):
     explicitly, instead of solving H0^{-1} H1 in full, preserves the exact
     companion pattern and costs one factorization.
     """
-    m = hp.m
-    rank = numerical_rank(hp.H0)
+    return _companion(hp.H0, hp.H1, hp.block_size)
+
+
+def _companion(H0, H1, xi):
+    """C with H0 C = H1 for the leading part H0, H1 of a block Hankel pencil
+    with block size xi: C[xi:, :m-xi] is the identity and only the last
+    min(xi, m) columns are solved."""
+    m = H0.shape[0]
+    rank = numerical_rank(H0)
     if rank < m:
         raise HankelRankError(
             f"H0 of size {m} has numerical rank {rank}; truncate the pencil to that rank",
             rank,
         )
-    xi = hp.block_size
+    shift = max(m - xi, 0)
     C = np.zeros((m, m), dtype=complex)
-    C[xi:, :-xi] = np.eye(m - xi)
-    C[:, -xi:] = np.linalg.solve(hp.H0, hp.H1[:, -xi:])
+    C[m - shift:, :shift] = np.eye(shift)
+    C[:, shift:] = np.linalg.solve(H0, H1[:, shift:])
     return C
 
 
@@ -215,24 +224,13 @@ def extract_block_invariant_pair(P, contour, U, V, m=None):
 def _pair_from_moments(moments, blocks, m):
     """Invariant pair of size m from moments M_k (xi-by-xi) and blocks S_k (n-by-xi).
 
-    The pencil has mt = ceil(m/xi) block rows and the pair is
-    ([S_0 ... S_{mt-1}], companion).  When mt*xi exceeds m, the leading
-    m-by-m principal part of the pencil is used (the full block pencil is
-    singular by construction); the truncated solve is a full linear solve
-    since truncation breaks the block companion pattern.
+    The pencil has mt = ceil(m/xi) block rows and the pair is the first m
+    columns of [S_0 ... S_{mt-1}] with the companion form of the pencil's
+    leading m-by-m part; when mt*xi exceeds m the full block pencil is
+    singular by construction, and the leading part keeps the shift
+    structure in all but its last xi columns.
     """
     xi = moments[0].shape[0]
     mt = math.ceil(m / xi)
     hp = _pencil(moments, mt)
-    Y = np.hstack(blocks[:mt])
-    if mt * xi == m:
-        return InvariantPair(Y, companion_from_pencil(hp))
-    H0 = hp.H0[:m, :m]
-    rank = numerical_rank(H0)
-    if rank < m:
-        raise HankelRankError(
-            f"truncated block Hankel of size {m} still has rank {rank}; "
-            "the probes or the block size xi do not expose all enclosed eigenvalues",
-            rank,
-        )
-    return InvariantPair(Y[:, :m], np.linalg.solve(H0, hp.H1[:m, :m]))
+    return InvariantPair(np.hstack(blocks[:mt])[:, :m], _companion(hp.H0[:m, :m], hp.H1[:m, :m], xi))

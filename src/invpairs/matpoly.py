@@ -159,13 +159,9 @@ def _horner_into(out, coeffs, lam):
 
 
 def eval_derivative(P, lam):
-    """Evaluate P'(lam) = sum_{j>=1} j A_j lam^(j-1)."""
-    lam = complex(lam)
-    ell = P.degree
-    acc = ell * np.array(P.coeffs[ell])
-    for j in range(ell - 1, 0, -1):
-        acc = acc * lam + j * P.coeffs[j]
-    return acc
+    """Evaluate P'(lam) = sum_{j>=1} j A_j lam^(j-1) by Horner on the coefficients j A_j."""
+    coeffs = [j * A for j, A in enumerate(P.coeffs[1:], start=1)]
+    return _horner_into(np.empty_like(coeffs[-1]), coeffs, complex(lam))
 
 
 def _powers(S, ell):

@@ -152,3 +152,34 @@ def test_both_sides_run_from_exports_in_one_directory(monkeypatch, tmp_path, cap
     doc = json.loads((tmp_path / "BENCH_certify.json").read_text())
     assert (doc["parent"], doc["child"]) == ("p" * 40, "c" * 40)
     assert doc["failures"]["median"] == {"parent": 1 / 6, "child": 2 / 6}
+
+
+def test_beyond_bound_flags_a_median_worse_by_more_than_the_metrics_bound(monkeypatch, tmp_path, capsys):
+    ab = _load_ab()
+    parent = [{"ok_per_s": v, "job_ms.p50": v, "ok_frac": 1.0} for v in (9.0, 10.0, 11.0)]
+    # ok_per_s 10 -> 7.4 (-26 %), job_ms.p50 10 -> 12.6 (+26 %), ok_frac 1 -> 0.98 (-2 %)
+    child = [{"ok_per_s": v - 2.6, "job_ms.p50": v + 2.6, "ok_frac": 0.98} for v in (9.0, 10.0, 11.0)]
+    summary = ab.summarize(_runs(parent, child), DEFINITIONS)
+    assert [summary[d["name"]]["beyond_bound"] for d in DEFINITIONS] == [True, True, True]
+    # within the bound, or better by any amount, is not flagged
+    near = [{"ok_per_s": v - 2.4, "job_ms.p50": v + 2.4, "ok_frac": 0.995} for v in (9.0, 10.0, 11.0)]
+    far_better = [{"ok_per_s": 3 * v, "job_ms.p50": v / 3, "ok_frac": 1.0} for v in (9.0, 10.0, 11.0)]
+    for other in (near, far_better):
+        summary = ab.summarize(_runs(parent, other), DEFINITIONS)
+        assert not any(summary[d["name"]]["beyond_bound"] for d in DEFINITIONS)
+    zero = [{"ok_per_s": 0.0, "job_ms.p50": 0.0, "ok_frac": 0.0}]
+    assert not ab.summarize(_runs(zero, zero), DEFINITIONS)["job_ms.p50"]["beyond_bound"]
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": DEFINITIONS}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "_git", _fake_git(""))
+    monkeypatch.setattr(ab, "export", lambda rev, dest: dest)
+    env = {"nproc": 2, "cpus_usable": 2, "thread_env": {}, "blas": [], "python": "3", "numpy": "2", "scipy": "1"}
+    slower = [{"ok_per_s": 10.0, "job_ms.p50": 13.0, "ok_frac": 1.0}]
+    monkeypatch.setattr(ab, "run_pairs", lambda trees, workload, seeds, seconds, start=0:
+                        (_runs(parent[1:2] * len(seeds), slower * len(seeds)), env))
+    ab.main(["--workload", "extract", "--seeds", "1"])
+    assert "the bound on ['job_ms.p50']" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "BENCH_extract.json").read_text())
+    assert {name: m["beyond_bound"] for name, m in doc["metrics"].items()} == {
+        "ok_per_s": False, "job_ms.p50": True, "ok_frac": False}

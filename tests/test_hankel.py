@@ -272,6 +272,26 @@ class TestExtractBlockInvariantPair:
         assert pair.k == 5
         assert np.linalg.norm(eval_pair(multi_3x3, pair), "fro") <= 1e-8
 
+    @pytest.mark.parametrize("case", ["multi_3x3-m5", "seeded-l2-m3"])
+    def test_truncated_pencil_keeps_the_companion_form(self, multi_3x3, golden_contours, case):
+        # xi = 2 does not divide m: in the leading m-by-m part of the block
+        # pencil, column j < m - xi of H1 is column j + xi of H0, so those
+        # columns of S are exact unit vectors and only the last xi are solved
+        if case == "multi_3x3-m5":
+            P, contour, U, V, m = multi_3x3, golden_contours["multi_3x3"], U3, V3, 5
+        else:
+            rng = np.random.default_rng([8, 2, 3])
+            P, contour, m = _extract_style_case(rng, 8, 2, "")
+            U, V = (rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)) for _ in range(2))
+        xi, mt = 2, math.ceil(m / 2)
+        S = extract_block_invariant_pair(P, contour, U, V, m=m).S
+        hp = build_block_hankel(block_moments(P, contour, U, V, count=2 * mt), mt)
+        H0, H1 = hp.H0[:m, :m], hp.H1[:m, :m]
+        assert (m, hp.block_size) == (2 * mt - 1, xi)
+        assert np.array_equal(S[xi:, :m - xi], np.eye(m - xi))
+        assert not S[:xi, :m - xi].any()
+        assert np.linalg.norm(H0 @ S - H1) <= 1e-12 * np.linalg.norm(H1)
+
     def test_xi_one_reduces_to_scalar(self, ss_2x2, golden_contours):
         u = np.array([1.0, -1.0])
         v = np.array([-1.0, 1.0])
@@ -555,6 +575,32 @@ class TestSharedNodeFactorization:
         # pass raises the lowest singular node, as the serial loop did
         _split_between_two_workers(monkeypatch)
         _assert_on_contour_error_matches_stored_factors(n, nodes)
+
+    @pytest.mark.parametrize("case", ["ss_2x2-node-0", "diagonal-100-helper-half"])
+    def test_exactly_singular_node_raises_without_a_warning(self, monkeypatch, ss_2x2, case):
+        # getrf reports an exactly singular P(z_j) only through its info;
+        # gecon's rcond = 0 must still raise, with cond = inf, and no warning
+        # may be issued on either thread of the split pass
+        _split_between_two_workers(monkeypatch)
+        if case == "ss_2x2-node-0":
+            # node 0 is z = 1, where P(1) = [[0, 0], [2, 0]] exactly
+            P, contour, node = ss_2x2, Contour(0.5, 0.5, nodes=8), 0
+            assert np.array_equal(horner_out_of_place(P.coeffs, contour.points()[0][0]), [[0, 0], [2, 0]])
+        else:
+            # z I - D with D holding node 40, in the helper thread's half
+            contour, node = Contour(0.2, 0.9), 40
+            d = np.r_[contour.points()[0][node], _disk_points(np.random.default_rng(5), 0.2, 0.0, 0.5, 99)]
+            P = MatrixPolynomial([-np.diag(d), np.eye(100)])
+        U = np.eye(P.n)[:, :2]
+        for call in (lambda: count_eigenvalues_inside(P, contour),
+                     lambda: extract_invariant_pair(P, contour),
+                     lambda: extract_block_invariant_pair(P, contour, U, U)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("error")
+                with pytest.raises(EigenvalueOnContourError) as err:
+                    call()
+            assert caught == []
+            assert (err.value.node, err.value.cond) == (node, np.inf)
 
 
 def _assert_on_contour_error_matches_stored_factors(n, nodes):

@@ -111,8 +111,22 @@ class TestEvalScalar:
             # the same recurrence into a Fortran-order buffer, as the node pass runs it
             buf = np.empty((13, 13), dtype=complex, order="F")
             assert np.array_equal(_horner_into(buf, P.coeffs, complex(lam)), want)
+            # P'(lam) is the same recurrence on the coefficients j A_j
+            got = eval_derivative(P, lam)
+            want = _former_eval_derivative(P, lam)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         for A, B in zip(P.coeffs, before):
             assert not A.flags.writeable and np.array_equal(A, B)
+
+
+def _former_eval_derivative(P, lam):
+    """P'(lam) by the separate Horner loop eval_derivative ran before."""
+    lam = complex(lam)
+    ell = P.degree
+    acc = ell * np.array(P.coeffs[ell])
+    for j in range(ell - 1, 0, -1):
+        acc = acc * lam + j * P.coeffs[j]
+    return acc
 
 
 class TestEvalDerivative:

@@ -21,7 +21,10 @@ run's values, both commit SHAs, and the cores, BLAS threads and
 numpy/scipy versions the runs reported.  Its `failures` block holds each
 side's share of failed jobs (failed / attempted) in every run, the median
 share per side, and the seeds at which the child's share is higher; a
-line on stderr names those seeds when there are any.
+line on stderr names those seeds when there are any.  Each metric's
+`beyond_bound` says whether the child's median is worse than the parent's
+by more than that metric's `bound` in BENCHMARK.json, and a line on stderr
+names the metrics where it is.
 """
 
 import argparse
@@ -104,10 +107,12 @@ def summarize(runs, definitions):
     """Per-metric medians, quartiles and child wins over the runs of several seeds.
 
     `definitions` are the end_to_end entries of BENCHMARK.json (name, unit,
-    better).  The child wins a pair when its value is better in the metric's
-    direction; equal values are ties.  `clear` says whether the child's
-    median is better than the parent's by more than the parent's
-    interquartile range.
+    better, bound).  The child wins a pair when its value is better in the
+    metric's direction; equal values are ties.  `clear` says whether the
+    child's median is better than the parent's by more than the parent's
+    interquartile range, and `beyond_bound` whether it is worse than the
+    parent's by more than the metric's bound, relative to the parent's
+    median (never when that median is 0).
     """
     out = {}
     for d in definitions:
@@ -122,6 +127,7 @@ def summarize(runs, definitions):
         parent, child = entry["parent"], entry["child"]
         entry["change"] = child["median"] / parent["median"] - 1.0 if parent["median"] else None
         entry["clear"] = sign * (child["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        entry["beyond_bound"] = entry["change"] is not None and -sign * entry["change"] > d["bound"]
         out[name] = entry
     return out
 
@@ -181,6 +187,10 @@ def main(argv=None):
     if doc["failures"]["child_higher"]:
         print(f"{args.workload}: the child fails a larger share of its jobs than the parent at seeds "
               f"{doc['failures']['child_higher']}", file=sys.stderr)
+    beyond = [name for name, entry in doc["metrics"].items() if entry["beyond_bound"]]
+    if beyond:
+        print(f"{args.workload}: the child's median is worse than the parent's by more than the bound "
+              f"on {beyond}", file=sys.stderr)
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
 
