@@ -1,13 +1,9 @@
-"""Command line entry points, problem-file I/O and the benchmark harness.
+"""Command line entry points, the benchmark harness and the golden checks.
 
-Problem files are UTF-8 JSON with explicit [re, im] pairs::
-
-    {
-      "name": "ss_2x2",
-      "n": 2,
-      "degree": 2,
-      "coeffs": [ [[[1,0],[0,0]],[[0,0],[0,0]]], ... ]   # A_0..A_ell, row-major
-    }
+The commands read problem and probe files through invpairs.problems, which
+documents both formats and is also the one reader of the bundled data
+directory (fixtures, probes and the data/expected golden checks that
+`bench --verify` runs here).
 
 Exit codes: 0 success, 1 usage error (bad flags or malformed files),
 2 numerical failure, 3 verification mismatch.  JSON output is byte-identical
@@ -15,21 +11,22 @@ for identical argv, seed and fixtures; wall-clock times therefore appear
 only in CSV and human-readable output, never in JSON.
 """
 
-import importlib.resources
 import json
-import math
 import sys
 
 import click
 import numpy as np
 
 from . import problems
+from .problems import (
+    ProblemFormatError, _bundled_probes, _complex_pairs, _data_path, _load_probes, _read_json_object,
+    parse_problem, serialize_problem,
+)
 from .conditioning import pair_backward_error, pair_condition_number
 from .contour import (
     Contour,
     block_moments,
     count_eigenvalues_inside,
-    default_probe_vectors,
     scalar_moments,
 )
 from .hankel import (
@@ -41,11 +38,7 @@ from .hankel import (
     pencil_eigenvalues,
 )
 from ._numeric import cluster_eigenvalues
-from .matpoly import (
-    MatrixPolynomial,
-    companion_linearization,
-    eval_pair,
-)
+from .matpoly import companion_linearization, eval_pair
 from .refine import refine_pair
 from .solvents import (
     enumerate_solvents,
@@ -64,10 +57,6 @@ __all__ = [
 ]
 
 
-class ProblemFormatError(ValueError):
-    """A problem or probe file does not match the documented format."""
-
-
 class VerificationMismatch(RuntimeError):
     """A golden-corpus check failed beyond its stated tolerance."""
 
@@ -77,112 +66,6 @@ class VerificationMismatch(RuntimeError):
 # HankelRankError and EigenvalueOnContourError subclass RuntimeError, and
 # SingularLeadingCoefficientError and np.linalg.LinAlgError subclass ValueError.
 _NUMERICAL_ERRORS = (RuntimeError, ValueError)
-
-
-# ---------------------------------------------------------------------------
-# problem files
-
-
-def _pair_to_complex(value, where):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in value)
-    ):
-        raise ProblemFormatError(f"{where}: expected a finite [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
-
-
-def _parse_matrix(rows, n, where):
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ProblemFormatError(f"{where}: expected {n} rows")
-    out = np.empty((n, n), dtype=complex)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ProblemFormatError(f"{where}, row {r}: expected {n} entries")
-        for c, entry in enumerate(row):
-            out[r, c] = _pair_to_complex(entry, f"{where}, row {r}, column {c}")
-    return out
-
-
-def _read_json_object(path):
-    """The JSON object in a UTF-8 file; ProblemFormatError for invalid JSON or another top level."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ProblemFormatError(f"{path}: top level must be an object")
-    return doc
-
-
-def parse_problem(path):
-    """Load a MatrixPolynomial from a JSON problem file.
-
-    Malformed files raise ProblemFormatError naming the offending
-    coefficient, row and column.
-    """
-    doc = _read_json_object(path)
-    for key in ("n", "degree", "coeffs"):
-        if key not in doc:
-            raise ProblemFormatError(f"{path}: missing field '{key}'")
-    n, degree = doc["n"], doc["degree"]
-    if not isinstance(n, int) or n < 1 or not isinstance(degree, int) or degree < 1:
-        raise ProblemFormatError(f"{path}: n and degree must be positive integers")
-    coeffs = doc["coeffs"]
-    if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
-        raise ProblemFormatError(
-            f"{path}: expected {degree + 1} coefficient matrices A_0..A_{degree}, "
-            f"got {len(coeffs) if isinstance(coeffs, list) else type(coeffs).__name__}"
-        )
-    mats = [_parse_matrix(mat, n, f"{path}: coefficient {j}") for j, mat in enumerate(coeffs)]
-    try:
-        return MatrixPolynomial(mats)
-    except ValueError as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-
-
-def _complex_pairs(a):
-    """A complex array of any rank as nested lists with [re, im] pairs innermost."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def serialize_problem(P, name=None, description=None):
-    """JSON text for a problem file; parse_problem round-trips it bit for bit."""
-    doc = {}
-    if name is not None:
-        doc["name"] = name
-    if description is not None:
-        doc["description"] = description
-    doc.update({
-        "n": P.n,
-        "degree": P.degree,
-        "coeffs": _complex_pairs(P.coeffs),
-    })
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _load_probes(path, n):
-    doc = _read_json_object(path)
-    out = {}
-    for key in ("u", "v"):
-        if key in doc:
-            vec = doc[key]
-            if not isinstance(vec, list) or len(vec) != n:
-                raise ProblemFormatError(f"{path}: '{key}' must hold {n} [re, im] pairs")
-            out[key] = np.array([_pair_to_complex(e, f"{path}: {key}[{i}]") for i, e in enumerate(vec)])
-    for key in ("U", "V"):
-        if key in doc:
-            rows = doc[key]
-            if not (isinstance(rows, list) and len(rows) == n and all(
-                    isinstance(row, list) and row and len(row) == len(rows[0]) for row in rows)):
-                raise ProblemFormatError(f"{path}: '{key}' must hold {n} rows of equal width xi >= 1")
-            out[key] = np.array([[_pair_to_complex(e, f"{path}: {key}[{r}][{c}]") for c, e in enumerate(row)]
-                                 for r, row in enumerate(rows)])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +164,26 @@ def _output_options(fn):
     return fn
 
 
-def _scalar_probes(P, probe_file, seed):
-    if probe_file:
-        probes = _load_probes(probe_file, P.n)
-        if "u" in probes and "v" in probes:
-            return probes["u"], probes["v"]
-        raise ProblemFormatError(f"{probe_file}: scalar probes need fields 'u' and 'v'")
-    return default_probe_vectors(P.n, seed)
+def _file_probes(P, probe_file, keys):
+    """The two probes named by keys ("uv" or "UV") in the --probe-file; (None, None) without one."""
+    if not probe_file:
+        return None, None
+    probes = _load_probes(probe_file, P.n)
+    if not all(key in probes for key in keys):
+        kind = "scalar" if keys == "uv" else "block"
+        raise ProblemFormatError(f"{probe_file}: {kind} probes need fields '{keys[0]}' and '{keys[1]}'")
+    return probes[keys[0]], probes[keys[1]]
 
 
 def _extract(P, center, radius, nodes, probe_file, seed, m):
     """Scalar invariant pair of P inside the contour, from the command's options."""
-    u, v = _scalar_probes(P, probe_file, seed)
-    return extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=m)
+    u, v = _file_probes(P, probe_file, "uv")
+    return extract_invariant_pair(P, Contour(center, radius, nodes), u, v, m=m, seed=seed)
 
 
 def _block_probes(P, xi, probe_file, seed):
     if probe_file:
-        probes = _load_probes(probe_file, P.n)
-        if "U" in probes and "V" in probes:
-            return probes["U"], probes["V"]
-        raise ProblemFormatError(f"{probe_file}: block probes need fields 'U' and 'V'")
+        return _file_probes(P, probe_file, "UV")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((P.n, xi)) + 1j * rng.standard_normal((P.n, xi))
     V = rng.standard_normal((P.n, xi)) + 1j * rng.standard_normal((P.n, xi))
@@ -338,8 +220,8 @@ def count(problem, center, radius, nodes, out, fmt):
 def moments(problem, center, radius, nodes, nmoments, probe_file, seed, out, fmt):
     """Scalar moments mu_0..mu_{K-1} of u^H P(z)^{-1} v."""
     P = parse_problem(problem)
-    u, v = _scalar_probes(P, probe_file, seed)
-    moms = scalar_moments(P, Contour(center, radius, nodes), u, v, count=nmoments)
+    u, v = _file_probes(P, probe_file, "uv")
+    moms = scalar_moments(P, Contour(center, radius, nodes), u, v, count=nmoments, seed=seed)
     data = {"moments": list(moms.mu)}
     rows = [["k", "mu"]] + [[k, _fmt_complex(m)] for k, m in enumerate(moms.mu)]
     _emit(data, rows, fmt, out)
@@ -526,10 +408,6 @@ def triangular(problem, out, fmt):
 # benchmark harness
 
 
-def _data_path(*parts):
-    return importlib.resources.files("invpairs").joinpath("data", *parts)
-
-
 def _bench_corpus(seed):
     """Perturbed golden pairs: (name, polynomial, X0, S0) rows, fixed order."""
     rng = np.random.default_rng(seed)
@@ -546,10 +424,8 @@ def _bench_corpus(seed):
         for eps in scales:
             perturbed(f"{fixture}_eps{eps}", P, pair.X, pair.S, float(eps))
 
-    P3 = problems.multi_3x3()
-    spec3 = g["multi_3x3"]
-    pair3 = extract_block_invariant_pair(P3, Contour(spec3["center"], spec3["radius"]),
-                                         np.array(spec3["U"]), np.array(spec3["V"]),
+    P3, spec3 = problems.multi_3x3(), g["multi_3x3"]
+    pair3 = extract_block_invariant_pair(P3, Contour(spec3["center"], spec3["radius"]), spec3["U"], spec3["V"],
                                          m=spec3["m_block"])
     perturbed("multi_3x3_block_eps1e-4", P3, pair3.X, pair3.S, 1e-4)
 
@@ -635,6 +511,16 @@ def _first_failure(desc, checks):
     return next((c for c in checks if c[1] != "ok"), (desc, "ok"))
 
 
+def _check_clusters(got, expected, atol, desc):
+    """(desc, status) of (value, multiplicity) clusters against expected [[re, im], multiplicity] rows."""
+    if len(got) != len(expected):
+        return desc, f"FAIL {len(got)} clusters, expected {len(expected)}"
+    for (val, mult), ((re, im), emult) in zip(got, expected):
+        if mult != emult or abs(val - complex(re, im)) > atol:
+            return desc, f"FAIL cluster ({val:.6g},{mult}) vs ({complex(re, im):.6g},{emult})"
+    return desc, "ok"
+
+
 def _complex(entry):
     """Nested [re, im] pairs (a vector, a matrix or a stack of them) as a complex array."""
     return np.ascontiguousarray(entry, dtype=float).view(complex)[..., 0]
@@ -645,7 +531,7 @@ def run_golden_checks():
     lines = []
     expected_dir = _data_path("expected")
     for resource in sorted(p.name for p in expected_dir.iterdir() if p.name.endswith(".json")):
-        doc = json.loads(expected_dir.joinpath(resource).read_text(encoding="utf-8"))
+        doc = _read_json_object(expected_dir.joinpath(resource))
         P = problems.PROBLEMS[doc["fixture"]]()
         for check in doc["checks"]:
             lines.append(_run_single_check(P, doc["fixture"], check))
@@ -660,10 +546,9 @@ def _run_single_check(P, fixture, check):
     contour = None
     if "center" in check:
         contour = Contour(complex(*check["center"]), check["radius"], check.get("nodes", 64))
-    if "u" in check:
-        u, v = _complex(check["u"]), _complex(check["v"])
-    if "U" in check:
-        U, V = _complex(check["U"]), _complex(check["V"])
+    if "probes" in check:
+        probes = _bundled_probes(check["probes"], P.n)
+        u, v, U, V = (probes.get(key) for key in ("u", "v", "U", "V"))
     if kind in ("companion_last_column", "pencil_clusters", "hankel_rank"):
         hp = build_hankel(scalar_moments(P, contour, u, v, count=2 * check["m"]), check["m"])
     if kind == "moments":
@@ -677,14 +562,7 @@ def _run_single_check(P, fixture, check):
         C = companion_from_pencil(hp)
         return _check_allclose(C[:, -1], _complex(check["expected"]), atol, desc)
     if kind == "pencil_clusters":
-        clusters = pencil_eigenvalues(hp)
-        expected = [(complex(*val), mult) for val, mult in check["expected"]]
-        if len(clusters) != len(expected):
-            return desc, f"FAIL {len(clusters)} clusters, expected {len(expected)}"
-        for (val, mult), (eval_, emult) in zip(clusters, expected):
-            if mult != emult or abs(val - eval_) > atol:
-                return desc, f"FAIL cluster ({val:.6g},{mult}) vs ({eval_:.6g},{emult})"
-        return desc, "ok"
+        return _check_clusters(pencil_eigenvalues(hp), check["expected"], atol, desc)
     if kind == "pair":
         result = extract_invariant_pair(P, contour, u, v, m=check["m"])
         res = _relative_residual(P, result)
@@ -707,33 +585,23 @@ def _run_single_check(P, fixture, check):
         res = float(np.linalg.norm(eval_pair(P, result), "fro"))
         vals = np.linalg.eigvals(result.S)
         got = cluster_eigenvalues(vals, scale=max(1.0, float(np.linalg.norm(result.S, "fro"))))
-        expected = [(complex(*val), mult) for val, mult in check["eig_clusters"]]
-        cluster_atol = float(check.get("cluster_atol", 1e-6))
-        clusters_bad = len(got) != len(expected) or any(
-            mult != emult or abs(val - eval_) > cluster_atol
-            for (val, mult), (eval_, emult) in zip(got, expected)
-        )
         return _first_failure(desc, [
             *(_check_allclose(block, _complex(check[key]), atol, f"{desc}:{key}")
               for key, block in (("Y", result.X), ("T", result.S)) if key in check),
             (desc, f"FAIL residual {res:.3e}" if res > atol else "ok"),
-            (desc, f"FAIL eigenvalue clusters {got}" if clusters_bad else "ok"),
+            _check_clusters(got, check["eig_clusters"], float(check.get("cluster_atol", 1e-6)), desc),
         ])
     if kind == "solvent_set":
         sols, rejected = enumerate_solvents(P, _companion_eigenpairs(P))
         expected = [_complex(s) for s in check["expected"]]
         if len(sols) != len(expected):
             return desc, f"FAIL {len(sols)} solvents, expected {len(expected)}"
-        used = set()
+        unused = list(range(len(sols)))
         for exp in expected:
-            match = None
-            for i, s in enumerate(sols):
-                if i not in used and np.abs(s.S - exp).max() <= atol:
-                    match = i
-                    break
+            match = next((i for i in unused if np.abs(sols[i].S - exp).max() <= atol), None)
             if match is None:
                 return desc, "FAIL a reference solvent was not produced"
-            used.add(match)
+            unused.remove(match)
         got_rejected = [list(r) for r in rejected]
         if got_rejected != check["rejected"]:
             return desc, f"FAIL rejected subsets {got_rejected}"

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import importlib.resources
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,13 +44,31 @@ class TestProblemFiles:
         for a, b in zip(P.coeffs, want.coeffs):
             np.testing.assert_array_equal(a, b)
 
-    def test_all_bundled_fixtures_match_constructors(self):
+    # SHA-256 of each fixture's coefficients: dtype, shape and bytes of A_0..A_ell
+    FIXTURE_DIGESTS = {
+        "diag_4x4": "2f101fd1c0c59b08a9e7fb68268fd4f77ce4cb6aa5db19dacab5e43e35e72243",
+        "ss_2x2": "a7c211b5f1e48d615d204598b99b3208c813244c652266ea9b8e49608e3e5d8a",
+        "multi_3x3": "2a6a5591baa23424b04b65d080d79f029b67a5432bedd3be7db6b45e8e09e91f",
+        "quad_solvents_2x2": "bed228eed9dddbb2d3ec19d435bdbd2c8d2aa6dbd4035286f7a3868bb012e8f3",
+        "infinite_family_3x3": "e1df3ee42cfcb98b8a2502083cd95220055d1b1c7df23c865d266f35bd2864ca",
+        "infinite_family_3x3_triangular": "9039744ea94c440df924e1cb6af133c1841524a2d40db4f4c8a10fbe371fb34a",
+        "residue_diag_2x2": "4f8636e7afbf137519441ee49ee25ade9488b349beeedc8c6489660913f51a9b",
+    }
+
+    def test_bundled_fixtures_keep_their_digests(self):
+        assert sorted(problems.PROBLEMS) == sorted(self.FIXTURE_DIGESTS)
         for name, ctor in problems.PROBLEMS.items():
-            P = parse_problem(data_file(f"{name}.json"))
-            want = ctor()
-            assert P.degree == want.degree
-            for a, b in zip(P.coeffs, want.coeffs):
-                np.testing.assert_array_equal(a, b)
+            h = hashlib.sha256()
+            for A in ctor().coeffs:
+                h.update(f"{A.dtype.str}{A.shape}".encode())
+                h.update(A.tobytes())
+            assert h.hexdigest() == self.FIXTURE_DIGESTS[name], name
+
+    def test_readme_table_repeats_each_description(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for name in problems.PROBLEMS:
+            description = json.loads(Path(data_file(f"{name}.json")).read_text(encoding="utf-8"))["description"]
+            assert f"| `{name}` | {description} |" in readme, name
 
     def test_serialize_round_trip_bit_identical(self, tmp_path):
         P = problems.infinite_family_3x3()  # awkward fractions stress the float text
@@ -81,6 +101,31 @@ class TestProblemFiles:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ProblemFormatError, match="coefficient 1, row 0, column 1"):
             parse_problem(str(path))
+
+    @pytest.mark.parametrize("field, change, message", [
+        # a 1-by-1 problem: at n = true the reader once built a (True, True) array
+        ("n", lambda doc: doc.update(n=True), "n and degree must be positive integers"),
+        ("degree", lambda doc: doc.update(degree=True, coeffs=doc["coeffs"][:2]),
+         "n and degree must be positive integers"),
+        ("coefficient entry", lambda doc: doc["coeffs"][0][0].__setitem__(0, [True, False]),
+         "coefficient 0, row 0, column 0"),
+    ], ids=["n", "degree", "coefficient-entry"])
+    def test_json_boolean_is_usage_error(self, field, change, message, tmp_path, capsys):
+        doc = json.loads(serialize_problem(MatrixPolynomial([[[2.0]], [[-3.0]], [[1.0]]])))
+        change(doc)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ProblemFormatError, match=message):
+            parse_problem(str(path))
+        assert run_command(["count", str(path), "--center", "1.5", "--radius", "1"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_json_boolean_probe_entry_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "probes.json"
+        path.write_text(json.dumps({"u": [[1, 0], [True, 0]], "v": [[1, 0], [1, 0]]}), encoding="utf-8")
+        code = run_command(["pair", SS_2X2, "--center", "1,0", "--radius", "0.5", "--probe-file", str(path)])
+        assert code == 1
+        assert "u[1]: expected a finite [re, im] pair" in capsys.readouterr().err
 
     def test_bad_shape_has_position(self, tmp_path):
         doc = json.loads(serialize_problem(problems.ss_2x2()))
@@ -353,7 +398,8 @@ class TestExitCodes:
         {"U": [[[1, 0]], 7], "V": [[[1, 0]], [[0, 1]]]},
         {"U": [[[1, 0], [0, 1]], [[1, 0]]], "V": [[[1, 0]], [[0, 1]]]},
         {"U": [[], []], "V": [[], []]},
-    ], ids=["top-level-number", "row-not-a-list", "ragged-rows", "zero-width"])
+        {"U": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "V": [[[1, 0]], [[0, 1]]]},
+    ], ids=["top-level-number", "row-not-a-list", "ragged-rows", "zero-width", "different-widths"])
     def test_malformed_probe_file_is_usage_error(self, doc, tmp_path, capsys):
         path = tmp_path / "probes.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

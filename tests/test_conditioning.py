@@ -16,6 +16,7 @@ from invpairs import (
     pair_backward_error,
     pair_condition_number,
     refine_pair,
+    refine_solvent,
     solvent_backward_error,
     solvent_condition_number,
 )
@@ -369,21 +370,25 @@ DELTA = 1e-7
 FIRST_ORDER_SLACK = 1e-2
 
 
+def _moved(P, e):
+    """P with A_i + alpha_i E_i, where e stacks vec(E_i) for i = ell..0 (the
+    columns of perturbation_matrix, column-major vec)."""
+    n = P.n
+    alphas = frobenius_weights(P).alphas
+    blocks = e.reshape(P.degree + 1, n * n)[::-1]
+    return MatrixPolynomial([A + a * E.reshape((n, n), order="F")
+                             for A, a, E in zip(P.coeffs, alphas, blocks)])
+
+
 def _movement(P, X, S, e):
     """Forward error of the exact pair (X, S) of P after perturbing P along e.
 
-    e stacks vec(Delta A_i) / alpha_i for i = ell..0 (the columns of
-    perturbation_matrix, column-major vec).  The pair is refined on the
-    perturbed P; its change, with the component along the directions
+    The pair is refined on _moved(P, e); its change, with the component along the directions
     {(X G, S G - G S)} that leave the pair's subspace alone removed by least
     squares, is divided by ||[X; S]||_F.
     """
     n, k = X.shape
-    alphas = frobenius_weights(P).alphas
-    blocks = e.reshape(P.degree + 1, n * n)[::-1]
-    moved = MatrixPolynomial([A + a * E.reshape((n, n), order="F")
-                              for A, a, E in zip(P.coeffs, alphas, blocks)])
-    pair, report = refine_pair(moved, X, S, tol=1e-14, maxit=10)
+    pair, report = refine_pair(_moved(P, e), X, S, tol=1e-14, maxit=10)
     assert report.converged
     gauge = np.empty((n * k + k * k, k * k), dtype=complex)
     for q in range(k * k):
@@ -427,6 +432,36 @@ class TestKappaPredictsMovement:
         worst = np.linalg.svd(M, full_matrices=False)[2][0].conj()
         moved = _movement(P, X, S, DELTA * worst)
         assert abs(moved / (pair_condition_number(P, X, S) * DELTA) - 1.0) <= FIRST_ORDER_SLACK
+
+
+class TestSolventKappaPredictsMovement:
+    """The same for the exact solvent B of (lambda I - A)(lambda I - B), which
+    has no gauge freedom: its change is ||S' - S||_F / ||S||_F."""
+
+    @staticmethod
+    def _movement(P, S, e):
+        solvent, report = refine_solvent(_moved(P, e), S, tol=1e-14, maxit=10)
+        assert report.converged
+        return np.linalg.norm(solvent.S - S) / np.linalg.norm(S)
+
+    @pytest.mark.parametrize("n", [6, 10, 20])
+    def test_random_directions_stay_below_kappa_delta(self, n):
+        rng = np.random.default_rng(n)
+        P, S = _product_problem(rng, n)
+        kappa = solvent_condition_number(P, S)
+        for _ in range(3):
+            e = _random(rng, (P.degree + 1) * n * n)
+            moved = self._movement(P, S, DELTA * e / np.linalg.norm(e))
+            assert moved <= kappa * DELTA * (1.0 + FIRST_ORDER_SLACK)
+
+    @pytest.mark.parametrize("n", [6, 10, 20])
+    def test_worst_direction_reaches_kappa_delta(self, n):
+        # the top right singular vector of Bhat_S^{-1} Bhat_A, in the weighted variables
+        P, S = _product_problem(np.random.default_rng(n), n)
+        M = np.linalg.solve(solvent_jacobian(P, S), solvent_perturbation_matrix(P, S))
+        worst = np.linalg.svd(M, full_matrices=False)[2][0].conj()
+        moved = self._movement(P, S, DELTA * worst)
+        assert abs(moved / (solvent_condition_number(P, S) * DELTA) - 1.0) <= FIRST_ORDER_SLACK
 
 
 class TestWeights:

@@ -155,3 +155,69 @@ def test_workload_option_picks_what_runs(monkeypatch, tmp_path, argv, want):
     monkeypatch.setattr(sa, "collect", lambda tree, workload, seeds: ran.append((tree.name, workload)) or [])
     assert sa.main(["--seeds", "1", *argv]) == 0
     assert ran == [(side, w) for w in want for side in ("parent", "child")]
+
+
+def _cli_record(case, exit=0, stdout='{\n  "count": 3\n}\n'):
+    return {"case": case, "exit": exit, "stdout": stdout}
+
+
+def test_compare_cli_reports_a_stdout_difference():
+    sa = _load()
+    parent = [_cli_record("count a.json"), _cli_record("pair a.json"), _cli_record("cond a.json", exit=2, stdout="")]
+    assert sa.compare_cli(parent, [dict(r) for r in parent]) == []
+
+    child = [_cli_record("count a.json", stdout='{\n  "count": 4\n}\n'), _cli_record("pair a.json", exit=1),
+             _cli_record("cond a.json", exit=2, stdout="")]
+    assert sa.compare_cli(parent, child) == [
+        "count a.json: stdout line 2 '  \"count\": 3' -> '  \"count\": 4'",
+        "pair a.json: exit 0 -> 1",
+    ]
+    longer = [_cli_record("count a.json", stdout='{\n  "count": 3\n}\n\n')]
+    assert sa.compare_cli(parent[:1], longer) == ["count a.json: stdout line 5 '<end>' -> ''"]
+    assert sa.compare_cli(parent[:1], []) == ["count a.json: missing on the child side"]
+
+
+def test_mask_times_hides_only_the_time_columns():
+    sa = _load()
+    csv = "problem,newton_time,k,line_search_time\nx,0.0123,4,0.0456\ny,0.0789,2,0.0012\n"
+    assert sa.mask_times(csv) == "problem,newton_time,k,line_search_time\nx,*,4,*\ny,*,2,*\n"
+    for text in ('{\n  "newton_time": 1\n}\n', "k,mu\n0,1+0i\n"):
+        assert sa.mask_times(text) == text
+
+
+def test_cli_cases_cover_every_command_fixture_and_probe_file():
+    sa = _load()
+    root = TOOL.parents[1]
+    cases = sa.cli_cases(root)
+    assert len(cases) == len({tuple(c) for c in cases})
+    data = root / "src" / "invpairs" / "data"
+    fixtures = sorted(p.stem for p in data.glob("*.json"))
+    assert sorted(sa.FIXTURE_CIRCLES) == fixtures
+    commands = {"count", "moments", "pair", "block-pair", "refine", "cond", "berr", "solvent", "enumerate",
+                "triangular"}
+    for fixture in fixtures:
+        for fmt in ("json", "csv"):
+            ran = {c[0] for c in cases if c[1] == f"src/invpairs/data/{fixture}.json" and c[-1] == fmt}
+            assert ran == commands, (fixture, fmt)
+    for probes in data.glob("probes/*.json"):
+        used = {c[0] for c in cases if f"src/invpairs/data/probes/{probes.name}" in c}
+        assert used == {"pair", "block-pair", "moments", "refine"}, probes.name
+    assert sum("--perturb" in c for c in cases) == 2 * len(fixtures)
+    assert [c[:-2] for c in cases if c[0] == "bench"] == [["bench"], ["bench", "--seed", "3"],
+                                                          ["bench", "--verify"]] * 2
+
+
+def test_cli_option_compares_the_cli_cases(monkeypatch, capsys):
+    sa = _load()
+    monkeypatch.setattr(sa.ab, "refuse_dirty", lambda: None)
+    monkeypatch.setattr(sa.ab, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(sa.ab, "export", lambda rev, dest: dest)
+    outputs = {"parent": '{"count": 3}\n', "child": '{"count": 4}\n'}
+    monkeypatch.setattr(sa, "collect", lambda tree, workload, seeds: [_cli_record("count a.json",
+                                                                                  stdout=outputs[tree.name])])
+    assert sa.main(["--cli"]) == 1
+    out = capsys.readouterr().out
+    assert "cli count a.json: stdout line 1" in out
+    assert "cli: 1 of 1 cases differ" in out
+    outputs["child"] = outputs["parent"]
+    assert sa.main(["--cli"]) == 0

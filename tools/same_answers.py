@@ -2,6 +2,7 @@
 
     python3 tools/same_answers.py --parent HEAD~1 --seeds 1-10
     python3 tools/same_answers.py --parent HEAD~1 --seeds 1-10 --workload certify
+    python3 tools/same_answers.py --parent HEAD~1 --cli
 
 Both revisions are exported with `git archive` into one temporary directory,
 as tools/ab.py does, and the tool refuses to start while src/ or bench/ has
@@ -15,7 +16,16 @@ then a count per workload; the exit status is 1 on any difference.
 `--workload W` (repeatable; extract, refine or certify) limits the check to
 those workloads, so that a change confined to one layer can be checked on
 the workload that runs it; by default all three run.
+
+`--cli` compares the command line instead: exit code and stdout of every
+case of `cli_cases()` (each command on each bundled fixture in JSON and
+CSV, the probe-file commands with each bundled probe file, a perturbed
+refine and the bench runs), with the CSV `*_time` columns masked.  One
+subprocess per side runs the cases in-process through `run_command`.
 """
+
+import contextlib
+import io
 
 import argparse
 import dataclasses
@@ -38,6 +48,22 @@ WORKLOADS = ("extract", "refine", "certify")
 # Fields that are timings, not answers: (class name, field name)
 TIMINGS = {("RefinementReport", "wall_time")}
 WORKER_TIMEOUT = 1800
+
+DATA = "src/invpairs/data"
+# A circle per bundled fixture, each enclosing part of its spectrum (the
+# circles of the node-pass tests)
+FIXTURE_CIRCLES = {
+    "diag_4x4": ("0.75", "0.5"),
+    "ss_2x2": ("1", "0.5"),
+    "multi_3x3": ("1", "0.1"),
+    "quad_solvents_2x2": ("1.5", "1"),
+    "infinite_family_3x3": ("3", "0.5"),
+    "infinite_family_3x3_triangular": ("3", "0.5"),
+    "residue_diag_2x2": ("1.5", "1"),
+}
+CONTOUR_COMMANDS = ("count", "moments", "pair", "block-pair", "refine", "cond", "berr", "solvent")
+PROBE_COMMANDS = ("pair", "block-pair", "moments", "refine")
+FORMATS = (["--format", "json"], ["--format", "csv"])
 
 
 def _feed(h, value):
@@ -143,6 +169,77 @@ def collect(tree, workload, seeds):
     return json.loads(proc.stdout)
 
 
+def cli_cases(tree):
+    """The argv lists of the CLI comparison, with paths relative to `tree`."""
+    cases = []
+    for fixture, (center, radius) in FIXTURE_CIRCLES.items():
+        problem = [f"{DATA}/{fixture}.json"]
+        contour = [*problem, "--center", center, "--radius", radius]
+        for fmt in FORMATS:
+            cases += [[cmd, *contour, *fmt] for cmd in CONTOUR_COMMANDS]
+            cases += [[cmd, *problem, *fmt] for cmd in ("enumerate", "triangular")]
+            cases.append(["refine", *contour, "--perturb", "1e-3", "--seed", "3", *fmt])
+    for probes in sorted((Path(tree) / DATA / "probes").glob("*.json")):
+        fixture = max((f for f in FIXTURE_CIRCLES if probes.stem == f or probes.stem.startswith(f + "_")), key=len)
+        center, radius = FIXTURE_CIRCLES[fixture]
+        for fmt in FORMATS:
+            cases += [[cmd, f"{DATA}/{fixture}.json", "--center", center, "--radius", radius,
+                       "--probe-file", f"{DATA}/probes/{probes.name}", *fmt] for cmd in PROBE_COMMANDS]
+    for fmt in FORMATS:
+        cases += [["bench", *fmt], ["bench", "--seed", "3", *fmt], ["bench", "--verify", *fmt]]
+    return cases
+
+
+def mask_times(text):
+    """CSV text with each value of a `*_time` column replaced by `*`; other text unchanged."""
+    lines = text.split("\n")
+    timed = [i for i, name in enumerate(lines[0].split(",")) if name.endswith("_time")]
+    if not timed:
+        return text
+    rows = [lines[0].split(",")] + [line.split(",") for line in lines[1:]]
+    for cells in rows[1:]:
+        for i in timed:
+            if i < len(cells):
+                cells[i] = "*"
+    return "\n".join(",".join(cells) for cells in rows)
+
+
+def cli_worker(tree):
+    """Exit code and masked stdout of every CLI case, run in `tree`."""
+    tree = Path(tree).resolve()
+    sys.path.insert(0, str(tree / "src"))
+    os.chdir(tree)
+    from invpairs.cli import run_command
+    records = []
+    for argv in cli_cases(tree):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_command(argv)
+        records.append({"case": " ".join(argv), "exit": code, "stdout": mask_times(out.getvalue())})
+    return records
+
+
+def compare_cli(parent, child):
+    """One line per CLI case whose exit code or stdout differs, with the first differing stdout line."""
+    lines = []
+    left = {r["case"]: r for r in parent}
+    right = {r["case"]: r for r in child}
+    for case in dict.fromkeys([*right, *left]):
+        a, b = left.get(case), right.get(case)
+        if a is None or b is None:
+            lines.append(f"{case}: missing on the {'parent' if a is None else 'child'} side")
+            continue
+        diffs = [f"exit {a['exit']} -> {b['exit']}"] if a["exit"] != b["exit"] else []
+        if a["stdout"] != b["stdout"]:
+            old, new = a["stdout"].split("\n"), b["stdout"].split("\n")
+            k = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
+            at = [rows[k] if k < len(rows) else "<end>" for rows in (old, new)]
+            diffs.append(f"stdout line {k + 1} {at[0]!r} -> {at[1]!r}")
+        if diffs:
+            lines.append(f"{case}: {'; '.join(diffs)}")
+    return lines
+
+
 def compare(parent, child):
     """One line per job whose record differs, naming the fields that differ."""
     lines = []
@@ -167,10 +264,13 @@ def main(argv=None):
     ap.add_argument("--seeds", type=ab.parse_seeds, default=ab.parse_seeds("1-10"))
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="workload to compare (repeatable; default all three)")
+    ap.add_argument("--cli", action="store_true",
+                    help="compare the exit codes and stdout of the CLI cases instead of the benchmark jobs")
     ap.add_argument("--worker", nargs=2, metavar=("TREE", "WORKLOAD"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        json.dump(worker(*args.worker, args.seeds), sys.stdout)
+        tree, workload = args.worker
+        json.dump(cli_worker(tree) if workload == "cli" else worker(tree, workload, args.seeds), sys.stdout)
         return 0
 
     ab.refuse_dirty()
@@ -178,6 +278,14 @@ def main(argv=None):
     differ = 0
     with tempfile.TemporaryDirectory(prefix="invpairs-same-") as tmp:
         trees = {side: ab.export(shas[side], Path(tmp) / side) for side in ab.SIDES}
+        if args.cli:
+            records = {side: collect(trees[side], "cli", []) for side in ab.SIDES}
+            lines = compare_cli(records["parent"], records["child"])
+            for line in lines:
+                print(f"cli {line}")
+            print(f"cli: {len(lines)} of {len(records['child'])} cases differ "
+                  f"(parent {shas['parent'][:12]}, child {shas['child'][:12]})")
+            return 1 if lines else 0
         for workload in (w for w in WORKLOADS if w in (args.workload or WORKLOADS)):
             records = {side: collect(trees[side], workload, args.seeds) for side in ab.SIDES}
             lines = compare(records["parent"], records["child"])
