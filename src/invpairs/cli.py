@@ -18,10 +18,7 @@ import click
 import numpy as np
 
 from . import problems
-from .problems import (
-    ProblemFormatError, _bundled_probes, _complex_pairs, _data_path, _load_probes, _read_json_object,
-    parse_problem, serialize_problem,
-)
+from .problems import ProblemFormatError, _complex_pairs, parse_problem, serialize_problem
 from .conditioning import pair_backward_error, pair_condition_number
 from .contour import (
     Contour,
@@ -168,7 +165,7 @@ def _file_probes(P, probe_file, keys):
     """The two probes named by keys ("uv" or "UV") in the --probe-file; (None, None) without one."""
     if not probe_file:
         return None, None
-    probes = _load_probes(probe_file, P.n)
+    probes = problems._load_probes(probe_file, P.n)
     if not all(key in probes for key in keys):
         kind = "scalar" if keys == "uv" else "block"
         raise ProblemFormatError(f"{probe_file}: {kind} probes need fields '{keys[0]}' and '{keys[1]}'")
@@ -529,9 +526,7 @@ def _complex(entry):
 def run_golden_checks():
     """Run all data/expected checks; returns (failure count, [(name, status)])."""
     lines = []
-    expected_dir = _data_path("expected")
-    for resource in sorted(p.name for p in expected_dir.iterdir() if p.name.endswith(".json")):
-        doc = _read_json_object(expected_dir.joinpath(resource))
+    for doc in problems._expected_documents():
         P = problems.PROBLEMS[doc["fixture"]]()
         for check in doc["checks"]:
             lines.append(_run_single_check(P, doc["fixture"], check))
@@ -547,7 +542,7 @@ def _run_single_check(P, fixture, check):
     if "center" in check:
         contour = Contour(complex(*check["center"]), check["radius"], check.get("nodes", 64))
     if "probes" in check:
-        probes = _bundled_probes(check["probes"], P.n)
+        probes = problems._bundled_probes(check["probes"], P.n)
         u, v, U, V = (probes.get(key) for key in ("u", "v", "U", "V"))
     if kind in ("companion_last_column", "pencil_clusters", "hankel_rank"):
         hp = build_hankel(scalar_moments(P, contour, u, v, count=2 * check["m"]), check["m"])

@@ -196,6 +196,12 @@ def _bundled_probes(stem, n):
     return _load_probes(_data_path("probes", f"{stem}.json"), n)
 
 
+def _expected_documents():
+    """The golden-check documents of data/expected, in file-name order."""
+    paths = sorted(_data_path("expected").iterdir(), key=lambda p: p.name)
+    return [_read_json_object(p) for p in paths if p.name.endswith(".json")]
+
+
 # Contours and sizes of the worked examples, with the probe vectors of
 # data/probes/<fixture>.json.  The reference Y-hat of the block example was
 # computed with the alternative second probe V_yhat (recovered by a unique
