@@ -24,12 +24,11 @@ refine and the bench runs), with the CSV `*_time` columns masked.  One
 subprocess per side runs the cases in-process through `run_command`.
 """
 
-import contextlib
-import io
-
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import struct
