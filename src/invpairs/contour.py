@@ -182,10 +182,9 @@ class BlockMomentSequence:
             object.__setattr__(self, "sblocks", blocks)
             if len(blocks) != len(self.moments):
                 raise ValueError("sblocks must hold one block per moment")
-            scale = 1.0 + max((np.abs(M).max() for M in self.moments), default=0.0)
-            for M, S in zip(self.moments, blocks):
-                if np.abs(self.U.conj().T @ S - M).max() > 1e-6 * scale:
-                    raise ValueError("sblocks inconsistent with moments: M_k != U^H S_k")
+            M, S = np.reshape(self.moments, (-1, self.xi, self.xi)), np.reshape(blocks, (-1, *self.U.shape))
+            if np.abs(self.U.conj().T @ S - M).max(initial=0.0) > 1e-6 * (1.0 + np.abs(M).max(initial=0.0)):
+                raise ValueError("sblocks inconsistent with moments: M_k != U^H S_k")
 
     @property
     def xi(self):

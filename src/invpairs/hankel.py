@@ -73,21 +73,16 @@ class HankelPencil:
         if xi < 1 or H0.shape[0] % xi:
             raise ValueError("matrix size must be a multiple of the block size")
         mt = H0.shape[0] // xi
-
-        def block(H, i, j):
-            return H[i * xi:(i + 1) * xi, j * xi:(j + 1) * xi]
-
-        # Entry (block) at position (i, j) may depend only on i + j, and H1
-        # must be H0 shifted up by one block row (one step in i + j).
-        for i in range(mt):
-            for j in range(mt):
-                d = i + j
-                if not np.array_equal(block(H0, i, j), block(H0, min(d, mt - 1), d - min(d, mt - 1))):
-                    raise ValueError("H0 is not (block) Hankel")
-                if not np.array_equal(block(H1, i, j), block(H1, min(d, mt - 1), d - min(d, mt - 1))):
-                    raise ValueError("H1 is not (block) Hankel")
-                if i + 1 < mt and not np.array_equal(block(H1, i, j), block(H0, i + 1, j)):
-                    raise ValueError("shift structure violated: rows of H1 must be rows 2.. of H0")
+        # Each block must equal the one read off its anti-diagonal d; H1 is H0 moved by one d.
+        d = np.arange(2 * mt - 1)
+        i, j = np.minimum(d, mt - 1), np.maximum(d - mt + 1, 0)
+        R0, R1 = (H.reshape(mt, xi, mt, xi)[i, :, j] for H in (H0, H1))
+        if not np.array_equal(H0, _block_hankel(R0, mt)):
+            raise ValueError("H0 is not (block) Hankel")
+        if not np.array_equal(H1, _block_hankel(R1, mt)):
+            raise ValueError("H1 is not (block) Hankel")
+        if not np.array_equal(R1[:-1], R0[1:]):
+            raise ValueError("shift structure violated: rows of H1 must be rows 2.. of H0")
 
     @property
     def m(self):
@@ -99,23 +94,27 @@ def build_hankel(moms, m):
     """Assemble the m-by-m pencil from a MomentSequence with >= 2m moments."""
     if len(moms) < 2 * m:
         raise ValueError(f"need at least {2 * m} moments to build an {m}x{m} pencil, have {len(moms)}")
-    return _pencil(moms.mu[:, None, None], m)
+    return HankelPencil(*_pencil(moms.mu[:, None, None], m))
 
 
 def build_block_hankel(bmoms, mt):
     """Assemble the block pencil with mt block rows from a BlockMomentSequence."""
     if len(bmoms) < 2 * mt:
         raise ValueError(f"need at least {2 * mt} block moments, have {len(bmoms)}")
-    return _pencil(bmoms.moments, mt)
+    return HankelPencil(*_pencil(bmoms.moments, mt), bmoms.xi)
 
 
 def _pencil(moments, mt):
-    """Block Hankel pencil with mt block rows from xi-by-xi moments (scalar: xi = 1)."""
+    """Unchecked (H0, H1) with mt block rows from xi-by-xi moments (scalar: xi = 1)."""
     if mt < 1:
         raise ValueError("pencil size must be at least 1")
-    H0 = np.block([[moments[i + j] for j in range(mt)] for i in range(mt)])
-    H1 = np.block([[moments[i + j + 1] for j in range(mt)] for i in range(mt)])
-    return HankelPencil(H0=H0, H1=H1, block_size=moments[0].shape[0])
+    return _block_hankel(moments, mt), _block_hankel(moments[1:], mt)
+
+
+def _block_hankel(R, mt):
+    """The matrix whose block (i, j) is R[i + j], for a stack R of xi-by-xi blocks."""
+    blocks = np.take(R, np.add.outer(np.arange(mt), np.arange(mt)), axis=0)
+    return blocks.transpose(0, 2, 1, 3).reshape(mt * blocks.shape[-1], mt * blocks.shape[-1])
 
 
 def companion_from_pencil(hp):
@@ -232,5 +231,5 @@ def _pair_from_moments(moments, blocks, m):
     """
     xi = moments[0].shape[0]
     mt = math.ceil(m / xi)
-    hp = _pencil(moments, mt)
-    return InvariantPair(np.hstack(blocks[:mt])[:, :m], _companion(hp.H0[:m, :m], hp.H1[:m, :m], xi))
+    H0, H1 = _pencil(moments, mt)
+    return InvariantPair(np.hstack(blocks[:mt])[:, :m], _companion(H0[:m, :m], H1[:m, :m], xi))

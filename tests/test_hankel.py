@@ -85,6 +85,60 @@ class TestBuildHankel:
         with pytest.raises(ValueError, match="shift"):
             HankelPencil(H0=[[1.0, 2.0], [2.0, 3.0]], H1=[[9.0, 3.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("xi", [1, 2, 3])
+    @pytest.mark.parametrize("mt", [1, 2, 3, 4])
+    def test_pencil_matches_the_former_block_assembly(self, xi, mt):
+        rng = np.random.default_rng(7 * xi + mt)
+        moments = rng.standard_normal((2 * mt, xi, xi)) + 1j * rng.standard_normal((2 * mt, xi, xi))
+        H0, H1 = hankel._pencil(moments, mt)
+        np.testing.assert_array_equal(H0, np.block([[moments[i + j] for j in range(mt)] for i in range(mt)]))
+        np.testing.assert_array_equal(H1, np.block([[moments[i + j + 1] for j in range(mt)] for i in range(mt)]))
+        np.testing.assert_array_equal(hankel._pencil(tuple(moments), mt)[0], H0)
+
+    @pytest.mark.parametrize("xi", [1, 2, 3])
+    @pytest.mark.parametrize("mt", [1, 2, 3, 4])
+    def test_check_accepts_and_rejects_what_the_former_loop_did(self, xi, mt):
+        # Small integer moments, so that a changed entry sometimes keeps the
+        # structure; each pencil is intact, has one entry of H0 or H1 changed,
+        # or has one entry set to NaN.
+        rng = np.random.default_rng(100 * xi + mt)
+        verdicts = set()
+        for _ in range(150):
+            moments = rng.integers(-2, 3, (2 * mt, xi, xi)).astype(complex)
+            H = [np.block([[moments[i + j + s] for j in range(mt)] for i in range(mt)]) for s in (0, 1)]
+            kind = rng.integers(5)
+            if kind:
+                r, c = rng.integers(mt * xi, size=2)
+                H[kind % 2][r, c] = np.nan if kind > 2 else rng.integers(-2, 3)
+            want = _former_structure_check(H[0], H[1], xi)
+            verdicts.add(want is None)
+            if want is None:
+                assert HankelPencil(H[0], H[1], xi).m == mt * xi
+            else:
+                with pytest.raises(ValueError, match="Hankel|shift"):
+                    HankelPencil(H[0], H[1], xi)
+        assert verdicts == {True, False}
+
+
+def _former_structure_check(H0, H1, xi):
+    """The blockwise loop HankelPencil ran before it read one block per
+    anti-diagonal: the first violation's message, or None for a valid pencil."""
+    mt = H0.shape[0] // xi
+
+    def block(H, i, j):
+        return H[i * xi:(i + 1) * xi, j * xi:(j + 1) * xi]
+
+    for i in range(mt):
+        for j in range(mt):
+            d = i + j
+            if not np.array_equal(block(H0, i, j), block(H0, min(d, mt - 1), d - min(d, mt - 1))):
+                return "H0 is not (block) Hankel"
+            if not np.array_equal(block(H1, i, j), block(H1, min(d, mt - 1), d - min(d, mt - 1))):
+                return "H1 is not (block) Hankel"
+            if i + 1 < mt and not np.array_equal(block(H1, i, j), block(H0, i + 1, j)):
+                return "shift structure violated"
+    return None
+
 
 class TestNumericalRank:
     def test_identity_and_zero(self):
