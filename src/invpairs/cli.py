@@ -11,7 +11,9 @@ for identical argv, seed and fixtures; wall-clock times therefore appear
 only in CSV and human-readable output, never in JSON.
 """
 
+import cmath
 import json
+import math
 import sys
 
 import click
@@ -74,18 +76,15 @@ def _fmt_complex(z):
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def _json_value(obj):
+def _json_default(obj):
+    """json.dumps hook: complex as [re, im], arrays as nested lists, numpy scalars as Python ones."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         return _complex_pairs(obj) if np.iscomplexobj(obj) else obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _json_value(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_value(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _matrix_rows(lead, M):
@@ -96,7 +95,7 @@ def _matrix_rows(lead, M):
 def _emit(data, csv_rows, fmt, out):
     """Write either the JSON document or the CSV rows (header first)."""
     if fmt == "json":
-        text = json.dumps(_json_value(data), indent=2) + "\n"
+        text = json.dumps(data, indent=2, default=_json_default) + "\n"
     else:
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     if out:
@@ -107,31 +106,36 @@ def _emit(data, csv_rows, fmt, out):
 
 
 class _ComplexParam(click.ParamType):
-    """Accepts '0.75' or 're,im' like '1,-0.5'."""
+    """Accepts '0.75' or 're,im' like '1,-0.5', both parts finite."""
 
     name = "complex"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
-        parts = str(value).split(",")
-        try:
-            if len(parts) == 1:
-                return complex(float(parts[0]), 0.0)
-            if len(parts) == 2:
-                return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            pass
-        self.fail(f"{value!r} is not a complex number (use re or re,im)", param, ctx)
+        z, parts = value, str(value).split(",")
+        if not isinstance(value, complex):
+            try:
+                z = complex(*map(float, parts)) if len(parts) <= 2 else None
+            except ValueError:
+                z = None
+        if z is None or not cmath.isfinite(z):
+            self.fail(f"{value!r} is not a finite complex number (use re or re,im)", param, ctx)
+        return z
 
 
 COMPLEX = _ComplexParam()
 
 
+def _finite(ctx, param, value):
+    """Option callback that rejects nan and inf."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number", ctx, param)
+    return value
+
+
 def _contour_options(fn):
     fn = click.option("--center", type=COMPLEX, default="0,0", show_default=True,
                       help="Contour center as re or re,im.")(fn)
-    fn = click.option("--radius", type=click.FloatRange(min=0, min_open=True), default=1.0,
+    fn = click.option("--radius", type=click.FloatRange(min=0, min_open=True), callback=_finite, default=1.0,
                       show_default=True, help="Contour radius.")(fn)
     fn = click.option("--nodes", type=click.IntRange(min=4), default=64, show_default=True,
                       help="Quadrature node count N.")(fn)
@@ -148,8 +152,8 @@ def _extraction_options(fn):
 
 _size_option = click.option("--m", "size", type=click.IntRange(min=1), default=None,
                             help="Pair size (default: eigenvalue count).")
-_tol_option = click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-12,
-                           show_default=True)
+_tol_option = click.option("--tol", type=click.FloatRange(min=0, min_open=True), callback=_finite,
+                           default=1e-12, show_default=True)
 _maxit_option = click.option("--maxit", type=click.IntRange(min=0), default=500, show_default=True)
 
 
@@ -263,7 +267,7 @@ def block_pair(problem, center, radius, nodes, size, xi, probe_file, seed, out, 
 @cli.command()
 @_extraction_options
 @_size_option
-@click.option("--perturb", type=float, default=0.0, show_default=True,
+@click.option("--perturb", type=float, callback=_finite, default=0.0, show_default=True,
               help="Seeded relative noise injected before refining.")
 @_tol_option
 @_maxit_option
@@ -330,7 +334,8 @@ def berr(problem, center, radius, nodes, size, probe_file, seed, out, fmt):
 
 @cli.command()
 @_extraction_options
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-8, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), callback=_finite, default=1e-8,
+              show_default=True)
 @_output_options
 def solvent(problem, center, radius, nodes, probe_file, seed, tol, out, fmt):
     """Solvent from an n-by-n invariant pair enclosed by the contour."""

@@ -39,7 +39,9 @@ its node terms in node order after the pass, so no bit depends on which
 thread factored a node.
 """
 
+import cmath
 import math
+import operator
 import os
 import threading
 import warnings
@@ -112,12 +114,19 @@ class Contour:
     nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.nodes < 4:
+        center, radius = complex(self.center), float(self.radius)
+        if not cmath.isfinite(center):
+            raise ValueError(f"center must be finite, got {center}")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        try:
+            nodes = operator.index(self.nodes)
+        except TypeError:
+            raise ValueError(f"nodes must be an integer, got {self.nodes!r}") from None
+        if nodes < 4:
             raise ValueError("need at least 4 quadrature nodes")
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
     def points(self):
         """Nodes z_j = phi(t_j) and weights w_j = phi'(t_j)/(iN).

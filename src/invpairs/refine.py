@@ -157,9 +157,9 @@ def newton_correction(P, X, S):
     its steps from the normalized Schur-structured correction and falls back
     to this one where a column system of that correction is singular; it
     also serves as the reference the structured correction is tested against.
+    Raises ValueError unless X is n-by-k, S is k-by-k and both are finite.
     """
-    X = np.asarray(X, dtype=complex)
-    S = np.asarray(S, dtype=complex)
+    X, S = _checked_pair(P, X, S)
     n, k = X.shape
     B_X, B_S = pair_jacobian(P, X, S)
     J = np.hstack([B_X, B_S])

@@ -156,7 +156,7 @@ def solvent_from_pair(P, pair):
     X, S = np.asarray(pair.X, dtype=complex), np.asarray(pair.S, dtype=complex)
     n = P.n
     if X.shape != (n, n):
-        raise ValueError(f"pair has k={X.shape[1]}, need k=n={n} for a solvent")
+        raise ValueError(f"X is {X.shape[0]}-by-{X.shape[1]} (k={X.shape[1]}); a solvent needs a {n}-by-{n} X")
     cond = np.linalg.cond(X)
     if not cond < 1.0 / math.sqrt(EPS):
         raise SingularBasisError(
@@ -246,13 +246,10 @@ def _diagonal_roots(C):
     for d in np.unique(degree):
         rows = np.flatnonzero(degree == d)
         c = diags[rows, :d + 1]
-        if d == 1:
-            found = -c[:, :1] / c[:, 1:]
-        else:
-            companion = np.zeros((len(rows), d, d), dtype=complex)
-            companion[:, range(1, d), range(d - 1)] = 1
-            companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-            found = np.sort(np.linalg.eigvals(companion), axis=-1)
+        companion = np.zeros((len(rows), d, d), dtype=complex)
+        companion[:, range(1, d), range(d - 1)] = 1
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        found = np.sort(np.linalg.eigvals(companion), axis=-1)
         for i, r in zip(rows, found):
             scale = max(1.0, float(np.abs(r).max()))
             roots[i] = [val for val, _ in cluster_eigenvalues(r, rel_tol=1e-8, scale=scale)]

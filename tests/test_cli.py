@@ -3,6 +3,7 @@ import hashlib
 import importlib.resources
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,30 @@ class TestExitCodes:
     def test_out_of_range_argument_is_usage_error(self, argv, capsys):
         assert run_command(argv) == 1
         assert "not in the range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["count", SS_2X2, "--radius", "nan"],
+        ["count", SS_2X2, "--radius", "inf"],
+        ["count", SS_2X2, "--center", "nan"],
+        ["count", SS_2X2, "--center", "1,inf"],
+        ["refine", SS_2X2, "--tol", "nan"],
+        ["solvent", SS_2X2, "--tol", "nan"],
+        ["refine", SS_2X2, "--perturb", "nan"],
+    ])
+    def test_non_finite_number_is_usage_error(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_command(argv) == 1
+        assert "is not a finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fixture, probes, kind", [
+        ("pair", "multi_3x3", "multi_3x3_yhat", "scalar probes need fields 'u' and 'v'"),
+        ("block-pair", "ss_2x2", "ss_2x2", "block probes need fields 'U' and 'V'"),
+    ])
+    def test_probe_file_without_the_commands_fields_is_usage_error(self, command, fixture, probes, kind, capsys):
+        code = run_command([command, data_file(f"{fixture}.json"), "--probe-file", probe_file(f"{probes}.json")])
+        assert code == 1
+        assert kind in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         5,

@@ -39,6 +39,20 @@ class TestContourType:
         with pytest.raises(ValueError):
             Contour(0.0, 1.0, nodes=3)
 
+    @pytest.mark.parametrize("args, field", [
+        ((0.75, 0.5, 10.5), "nodes"),
+        ((0.0, np.nan), "radius"),
+        ((0.0, np.inf), "radius"),
+        ((np.nan, 1.0), "center"),
+        ((complex(1.0, np.inf), 1.0), "center"),
+    ])
+    def test_non_integer_nodes_and_non_finite_circle_rejected(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            Contour(*args)
+
+    def test_numpy_integer_nodes_accepted(self):
+        assert Contour(0.0, 1.0, nodes=np.int64(16)).points()[0].shape == (16,)
+
     def test_points_lie_on_circle(self):
         c = Contour(1.0 + 2.0j, 0.5, nodes=16)
         z, w = c.points()

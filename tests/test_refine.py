@@ -107,6 +107,16 @@ class TestNewtonCorrection:
         np.testing.assert_array_equal(corr.dX, want[:6].reshape((2, 3), order="F"))
         np.testing.assert_array_equal(corr.dS, want[6:].reshape((3, 3), order="F"))
 
+    @pytest.mark.parametrize("X, S, match", [
+        (GOLDEN_X_SS, np.where(np.eye(3), np.nan, GOLDEN_S_SS), "non-finite"),
+        (GOLDEN_X_SS, np.eye(2), "S must be 3x3"),
+        (np.ones((3, 3)), GOLDEN_S_SS, "3 rows"),
+    ])
+    def test_rejects_malformed_pair_before_lapack(self, ss_2x2, X, S, match, capfd):
+        with pytest.raises(ValueError, match=match):
+            newton_correction(ss_2x2, X, S)
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("n, ell, k", [(3, 2, 2), (4, 3, 5), (6, 2, 4), (8, 2, 3)])
     def test_pivoted_qr_matches_lstsq_on_simple_pairs(self, n, ell, k):
         # k eigenpairs of a random P (distinct eigenvalues) form a simple

@@ -104,6 +104,11 @@ class TestSolventFromPair:
         with pytest.raises(ValueError, match="k=5"):
             solvent_from_pair(multi_3x3, pair)
 
+    def test_rejects_x_with_extra_rows_by_its_shape(self, quad_2x2):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"X is 3-by-2 \(k=2\); a solvent needs a 2-by-2 X"):
+            solvent_from_pair(quad_2x2, InvariantPair(X, np.diag([1.0, 2.0])))
+
     def test_singular_x_reports_condition(self, quad_2x2):
         X = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
         with pytest.raises(SingularBasisError, match="condition"):
