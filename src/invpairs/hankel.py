@@ -13,6 +13,12 @@ moments generalize this.  When the block pencil is larger than the number m
 of enclosed eigenvalues, C is the companion form of its leading m-by-m part:
 there column j < m - xi of H1 is still column j + xi of H0, so those columns
 of C are exact unit vectors and only the last xi are solved.
+
+One index map, block (i, j) = R[i + j] for a stack R of xi-by-xi blocks,
+builds both matrices from the moments in one gather, and the same map checks
+a pencil: HankelPencil reads one block per anti-diagonal and compares each
+matrix with the gather of those blocks.  The check runs only on the public
+type; the extractors slice the gathered matrices, Hankel by construction.
 """
 
 import math
@@ -56,7 +62,11 @@ class HankelRankError(RuntimeError):
 
 @dataclass(frozen=True)
 class HankelPencil:
-    """Moment Hankel pair (H0, H1) with block size xi (1 for scalar)."""
+    """Moment Hankel pair (H0, H1) with block size xi (1 for scalar).
+
+    Construction checks that each matrix is block Hankel and that H1 is H0
+    moved by one block, and raises ValueError otherwise.
+    """
 
     H0: np.ndarray
     H1: np.ndarray
@@ -105,7 +115,8 @@ def build_block_hankel(bmoms, mt):
 
 
 def _pencil(moments, mt):
-    """Unchecked (H0, H1) with mt block rows from xi-by-xi moments (scalar: xi = 1)."""
+    """(H0, H1) with mt block rows gathered from xi-by-xi moments (scalar: xi = 1),
+    unchecked: Hankel by construction."""
     if mt < 1:
         raise ValueError("pencil size must be at least 1")
     return _block_hankel(moments, mt), _block_hankel(moments[1:], mt)

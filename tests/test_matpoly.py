@@ -257,6 +257,11 @@ class TestMinimalityIndex:
         assert numerical_rank(v2) == 3
         assert numerical_rank(GOLDEN_X_SS) == 2
 
+    def test_non_minimal_pair_gives_none(self):
+        # two equal columns with one eigenvalue stay parallel in every X S^j
+        x = np.array([[1.0], [2.0], [3.0]])
+        assert minimality_index((np.hstack([x, x]), 2.0 * np.eye(2)), 6) is None
+
     def test_m_max_validation(self):
         with pytest.raises(ValueError):
             minimality_index((np.eye(2), np.eye(2)), 0)

@@ -2,6 +2,7 @@
 runs a job, and its comparison on made-up records."""
 
 import importlib.util
+import itertools
 import types
 import warnings
 from pathlib import Path
@@ -203,6 +204,11 @@ def test_cli_cases_cover_every_command_fixture_and_probe_file():
         used = {c[0] for c in cases if f"src/invpairs/data/probes/{probes.name}" in c}
         assert used == {"pair", "block-pair", "moments", "refine"}, probes.name
     assert sum("--perturb" in c for c in cases) == 2 * len(fixtures)
+    shapes = (("block-pair", "--xi", "1"), ("block-pair", "--xi", "3"), ("pair", "--m", "1"))
+    for fixture, (center, radius) in sa.FIXTURE_CIRCLES.items():
+        contour = [f"src/invpairs/data/{fixture}.json", "--center", center, "--radius", radius]
+        for (cmd, *option), fmt in itertools.product(shapes, ("json", "csv")):
+            assert [cmd, *contour, *option, "--format", fmt] in cases, (fixture, cmd, option, fmt)
     assert [c[:-2] for c in cases if c[0] == "bench"] == [["bench"], ["bench", "--seed", "3"],
                                                           ["bench", "--verify"]] * 2
 

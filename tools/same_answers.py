@@ -19,8 +19,9 @@ the workload that runs it; by default all three run.
 
 `--cli` compares the command line instead: exit code and stdout of every
 case of `cli_cases()` (each command on each bundled fixture in JSON and
-CSV, the probe-file commands with each bundled probe file, a perturbed
-refine and the bench runs), with the CSV `*_time` columns masked.  One
+CSV, the pencil shapes of SHAPE_CASES, the probe-file commands with each
+bundled probe file, a perturbed refine and the bench runs), with the CSV
+`*_time` columns masked.  One
 subprocess per side runs the cases in-process through `run_command`.
 """
 
@@ -63,6 +64,9 @@ FIXTURE_CIRCLES = {
 CONTOUR_COMMANDS = ("count", "moments", "pair", "block-pair", "refine", "cond", "berr", "solvent")
 PROBE_COMMANDS = ("pair", "block-pair", "moments", "refine")
 FORMATS = (["--format", "json"], ["--format", "csv"])
+# Pencil shapes beyond the defaults (xi = 2 blocks, m = the count): scalar
+# and wider block pencils, and the 1-by-1 pencil
+SHAPE_CASES = (("block-pair", ["--xi", "1"]), ("block-pair", ["--xi", "3"]), ("pair", ["--m", "1"]))
 
 
 def _feed(h, value):
@@ -178,6 +182,7 @@ def cli_cases(tree):
             cases += [[cmd, *contour, *fmt] for cmd in CONTOUR_COMMANDS]
             cases += [[cmd, *problem, *fmt] for cmd in ("enumerate", "triangular")]
             cases.append(["refine", *contour, "--perturb", "1e-3", "--seed", "3", *fmt])
+            cases += [[cmd, *contour, *option, *fmt] for cmd, option in SHAPE_CASES]
     for probes in sorted((Path(tree) / DATA / "probes").glob("*.json")):
         fixture = max((f for f in FIXTURE_CIRCLES if probes.stem == f or probes.stem.startswith(f + "_")), key=len)
         center, radius = FIXTURE_CIRCLES[fixture]
