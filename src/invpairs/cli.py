@@ -111,12 +111,10 @@ class _ComplexParam(click.ParamType):
     name = "complex"
 
     def convert(self, value, param, ctx):
-        z, parts = value, str(value).split(",")
-        if not isinstance(value, complex):
-            try:
-                z = complex(*map(float, parts)) if len(parts) <= 2 else None
-            except ValueError:
-                z = None
+        try:
+            z = value if isinstance(value, complex) else complex(*map(float, str(value).split(",")))
+        except (TypeError, ValueError):  # TypeError: more than two parts
+            z = None
         if z is None or not cmath.isfinite(z):
             self.fail(f"{value!r} is not a finite complex number (use re or re,im)", param, ctx)
         return z

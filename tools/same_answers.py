@@ -21,8 +21,8 @@ the workload that runs it; by default all three run.
 case of `cli_cases()` (each command on each bundled fixture in JSON and
 CSV, the pencil shapes of SHAPE_CASES, the probe-file commands with each
 bundled probe file, a perturbed refine and the bench runs), with the CSV
-`*_time` columns masked.  One
-subprocess per side runs the cases in-process through `run_command`.
+`*_time` columns masked.  One subprocess per side runs the cases
+in-process through `run_command`.
 """
 
 import argparse
