@@ -183,6 +183,9 @@ def _extract(P, center, radius, nodes, probe_file, seed, m):
 def _block_probes(P, xi, probe_file, seed):
     if probe_file:
         return _file_probes(P, probe_file, "UV")
+    if xi > P.n:
+        raise click.BadParameter(f"xi = {xi} exceeds n = {P.n}; a probe block has at most n columns",
+                                 param_hint="'--xi'")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((P.n, xi)) + 1j * rng.standard_normal((P.n, xi))
     V = rng.standard_normal((P.n, xi)) + 1j * rng.standard_normal((P.n, xi))

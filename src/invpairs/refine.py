@@ -8,11 +8,14 @@ which has nk rows and nk + k^2 unknowns, together with the k^2 rows of the
 block-Newton normalization W^H DV_ell(DX, DS) = 0, W an orthonormal basis of
 V_ell(X, S) = [X; XS; ...; XS^(ell-1)] at the iterate (Kressner 2009).  In
 the Schur basis of S the bordered system splits into k column solves of
-size n + k, at O(k (n+k)^3) instead of O((nk)^3).  newton_correction keeps
-the minimum-norm solution of the unnormalized equation through the
-Kronecker blocks [B_X B_S], assembled blockwise, by one SVD-based lstsq
-that also decides the rank and warns below nk.  It is the reference for
-the structured step and the fallback where a column system is singular.
+size n + k, at O(k (n+k)^3) instead of O((nk)^3), each one LAPACK gesv
+call.  The residual P(X, S) of an iterate is evaluated once, for both the
+residual history and the right-hand side of the correction.
+newton_correction keeps the minimum-norm solution of the unnormalized
+equation through the Kronecker blocks [B_X B_S], assembled blockwise, by
+one SVD-based lstsq that also decides the rank and warns below nk.  It is
+the reference for the structured step and the fallback where a column
+system is singular.
 The iteration then picks the step length t in [0, 2] minimizing
 the squared residual along the step,
 
@@ -25,18 +28,21 @@ p(t) = sum_{d,e} t^(d+e) Re<C_d, C_e> holds exactly for every degree.  The
 paper's six-term form of p, built from two contour integrals and exact for
 degree <= 2, is the reference reached by passing a contour to
 line_search_poly.  A solvent S is refined as the pair (I, S) with DX = 0 by
-the same loop and the same column solves, without the border.  Plain
-Newton is the t = 1 special case.
+the same loop and the same column solves, without the border.  Its history
+reports P(I, S) as the pair loop does, while its right-hand side is P(S)
+by Horner; the two round differently, and each keeps the bits it has
+always had.  Plain Newton is the t = 1 special case.
 """
 
+import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial
-from scipy.linalg import lu_factor, lu_solve, schur
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, schur
 
 from .conditioning import _checked_pair, _ds_factors, pair_jacobian, solvent_jacobian
 from .contour import Contour
@@ -56,6 +62,10 @@ __all__ = [
     "refine_solvent",
     "default_line_search_contour",
 ]
+
+# LAPACK's solve, called directly: np.linalg.solve costs more in wrapper
+# than a small column system costs to solve
+_GESV, = get_lapack_funcs(("gesv",), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,12 @@ class StepPolynomial:
         return self._coeffs
 
     def __call__(self, t):
-        return polynomial.polyval(np.asarray(t, dtype=float), self._coeffs)
+        # Horner, as numpy.polynomial.polynomial.polyval runs it
+        c, t = self._coeffs, np.asarray(t, dtype=float)
+        value = c[-1] + t * 0
+        for coeff in c[-2::-1]:
+            value = coeff + value * t
+        return value
 
 
 class NewtonCorrection(NamedTuple):
@@ -178,26 +193,25 @@ def newton_correction(P, X, S):
 def _triangular_columns(E, T, rhs):
     """Solution Z of sum_j E_j Z T^j = rhs for upper triangular T, or None if singular.
 
-    Column c solves (sum_j t_cc^j E_j) z_c = rhs_c and then removes its terms
-    sum_j E_j z_c (T^j)[c, d] from the right-hand sides of the later columns d.
-    None when a column system is singular or its solution is not finite.
+    Column c solves (sum_j t_cc^j E_j) z_c = rhs_c by one LAPACK gesv call
+    and then removes its terms sum_j E_j z_c (T^j)[c, d] from the right-hand
+    sides of the later columns d.  None when gesv finds a column system
+    exactly singular (info > 0) or a column's solution is not finite.
     """
     pows = _powers(T, len(E) - 1)
     flat = E.reshape(len(E), -1)
     Z = np.array(rhs, dtype=complex)
     for c in range(len(T)):
-        try:
-            Z[:, c] = np.linalg.solve((pows[:, c, c] @ flat).reshape(E.shape[1:]), Z[:, c])
-        except np.linalg.LinAlgError:
-            return None
+        K = (pows[:, c, c] @ flat).reshape(E.shape[1:])
+        _, _, Z[:, c], info = _GESV(K, Z[:, c], overwrite_a=True)
         # here, not once at the end: an inf in z_c turns the later updates into NaN with warnings
-        if not np.isfinite(Z[:, c]).all():
+        if info > 0 or not np.isfinite(Z[:, c]).all():
             return None
         Z[:, c + 1:] -= (E @ Z[:, c]).T @ pows[:, c, c + 1:]
     return Z
 
 
-def _schur_correction(P, X, S):
+def _schur_correction(P, X, S, residual=None):
     """Newton correction normalized by W^H DV_ell(dX, dS) = 0, or None if singular.
 
     In the Schur basis S = Q T Q^H, X' = X Q, W is an orthonormal basis of
@@ -205,7 +219,7 @@ def _schur_correction(P, X, S):
     Ahat_j = [A_j; W_j^H] (W_ell = 0) turn the normalized equation into
     sum_j [Ahat_j | D_j] [dX'; dS'] T^j = [-P(X, S) Q; 0], with the
     _ds_factors D_j of (Ahat, X', T) and D_ell = 0: k bordered column solves
-    of size n + k.
+    of size n + k.  `residual` is P(X, S) when the caller already has it.
     """
     n, k = X.shape
     ell = P.degree
@@ -220,7 +234,7 @@ def _schur_correction(P, X, S):
     rhs = np.zeros((n + k, k), dtype=complex)
     # P(X, S) Q, not P(X', T): T equals Q^H S Q only to roundoff in S, which
     # near a pair is large against the residual
-    rhs[:n] = -eval_pair(P, (X, S)) @ Q
+    rhs[:n] = -(eval_pair(P, (X, S)) if residual is None else residual) @ Q
     Z = _triangular_columns(E, T, rhs)
     return None if Z is None else (Z[:n] @ Q.conj().T, Q @ Z[n:] @ Q.conj().T)
 
@@ -315,18 +329,19 @@ def solvent_step_poly(P, S, dS, contour=None):
 def minimize_step(poly):
     """Minimizer of p over the real stationary points in [0, 2], plus {1, 2}.
 
-    The roots of p'(t) come from the companion-matrix eigenvalues of the
-    derivative polynomial; ties break toward t = 1, so a flat polynomial
-    (already converged) yields the plain Newton step.
+    The roots of p'(t) are the eigenvalues of the companion matrix of the
+    derivative polynomial, built and sorted as numpy.polynomial's polyroots
+    does, without its per-call series checks; ties break toward t = 1, so a
+    flat polynomial (already converged) yields the plain Newton step.
     """
     coeffs = poly.coefficients()
     scale = float(np.abs(coeffs).max())
     candidates = [1.0, 2.0]
     if scale > 0:
-        dp = polynomial.polyder(coeffs)
+        dp = coeffs[1:] * np.arange(1, len(coeffs))
         # trailing coefficients at or below the tolerance are dropped, as trimcoef does
         kept = np.nonzero(np.abs(dp) > 1e-14 * scale)[0]
-        for r in polynomial.polyroots(dp[:kept[-1] + 1]) if kept.size else ():
+        for r in _roots(dp[:kept[-1] + 1]) if kept.size else ():
             # adding 0.0 turns a -0.0 real part into +0.0, as Polynomial.roots does
             # by mapping through its domain; the chosen step length is printed
             re = r.real + 0.0
@@ -339,26 +354,49 @@ def minimize_step(poly):
     return min(viable, key=lambda t: abs(t - 1.0))
 
 
+def _roots(c):
+    """Roots of sum_i c_i t^i (c_D != 0), sorted, with polyroots' bits."""
+    if len(c) < 2:
+        return ()
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    D = len(c) - 1
+    companion = np.zeros((D, D))
+    companion.reshape(-1)[D::D + 1] = 1
+    companion[:, -1] -= c[:-1] / c[-1]
+    r = np.linalg.eigvals(companion)
+    r.sort()
+    return r
+
+
 def _newton(P, X, S, correction, scale, tol, maxit, line_search):
     """Newton loop shared by pairs and solvents.
 
-    correction(X, S) returns the step direction (dX, dS); the residual
-    ||P(X, S)||_F is reported relative to scale(X, S).
+    Each iterate evaluates its residual R = P(X, S) once: ||R||_F relative
+    to scale(X, S) goes to the history, and correction(X, S, R) returns the
+    step direction (dX, dS).  Raises ValueError unless tol is finite and
+    nonnegative and maxit is a nonnegative integer.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    try:
+        maxit = operator.index(maxit)
+    except TypeError:
+        raise ValueError(f"maxit must be an integer, got {maxit!r}") from None
+    if maxit < 0:
+        raise ValueError(f"maxit must be nonnegative, got {maxit}")
     start = time.perf_counter()
-
-    def relative_residual(X, S):
-        return float(np.linalg.norm(eval_pair(P, (X, S)), "fro") / scale(X, S))
-
-    history = [relative_residual(X, S)]
+    R = eval_pair(P, (X, S))
+    history = [float(np.linalg.norm(R, "fro") / scale(X, S))]
     steps = []
     while len(steps) < maxit and history[-1] >= tol:
-        dX, dS = correction(X, S)
+        dX, dS = correction(X, S, R)
         t = minimize_step(line_search_poly(P, X, S, dX, dS)) if line_search else 1.0
         X = X + t * dX
         S = S + t * dS
         steps.append(float(t))
-        history.append(relative_residual(X, S))
+        R = eval_pair(P, (X, S))
+        history.append(float(np.linalg.norm(R, "fro") / scale(X, S)))
     report = RefinementReport(
         iterations=len(steps),
         residual_history=tuple(history),
@@ -377,11 +415,12 @@ def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     rank warning.  Stops when ||P(X_k, S_k)||_F / ||X_k||_F < tol; hitting
     maxit leaves converged False in the report.  With line_search=False
     every step length is exactly 1 (classical Newton).  Raises ValueError
-    unless X0 is n-by-k, S0 is k-by-k and both are finite.
+    unless X0 is n-by-k, S0 is k-by-k and both are finite, tol is finite
+    and nonnegative and maxit is a nonnegative integer.
     """
     X0, S0 = _checked_pair(P, X0, S0)
     X, S, report = _newton(
-        P, X0, S0, lambda X, S: _schur_correction(P, X, S) or newton_correction(P, X, S)[:2],
+        P, X0, S0, lambda X, S, R: _schur_correction(P, X, S, R) or newton_correction(P, X, S)[:2],
         lambda X, S: np.linalg.norm(X, "fro"), tol, maxit, line_search,
     )
     return InvariantPair(X, S), report
@@ -393,12 +432,14 @@ def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
     Each step is the Schur-structured correction; where a column system is
     singular it is the pseudoinverse solution of the dense solvent Jacobian,
     with a warning.  Stops when ||P(S_k)||_F / max(||S_k||_F, 1) < tol.
-    Raises ValueError unless S0 is a finite n-by-n matrix.
+    Raises ValueError unless S0 is a finite n-by-n matrix, tol is finite
+    and nonnegative and maxit is a nonnegative integer.
     """
     S0 = require_finite(_as_square_complex(S0, P.n, what="S"), "S")
     dX = np.zeros_like(S0)
 
-    def correction(X, S):
+    def correction(X, S, R):
+        # R = P(I, S) is left unused: P(S) by Horner rounds differently
         dS = _solvent_correction(P, S)
         if dS is None:
             warnings.warn("solvent Jacobian singular at iterate; using pseudoinverse", stacklevel=4)

@@ -409,6 +409,12 @@ class TestExitCodes:
             assert run_command(argv) == 1
         assert "is not a finite" in capsys.readouterr().err
 
+    def test_probe_block_wider_than_n_is_usage_error(self, capsys):
+        code = run_command(["block-pair", SS_2X2, "--center", "1", "--radius", "0.5", "--xi", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'--xi'" in err and "xi = 3 exceeds n = 2" in err
+
     @pytest.mark.parametrize("command, fixture, probes, kind", [
         ("pair", "multi_3x3", "multi_3x3_yhat", "scalar probes need fields 'u' and 'v'"),
         ("block-pair", "ss_2x2", "ss_2x2", "block probes need fields 'U' and 'V'"),

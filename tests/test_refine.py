@@ -32,6 +32,11 @@ def _noise(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _fake_gesv(x, info):
+    """A stand-in for refine's LAPACK gesv that returns x(b) with the flag info."""
+    return lambda a, b, overwrite_a=False: (a, np.zeros(len(b), dtype=np.int32), x(b), info)
+
+
 class TestFrechetApply:
     def test_zero_directions(self, ss_2x2):
         out = frechet_apply(ss_2x2, GOLDEN_X_SS, GOLDEN_S_SS,
@@ -236,7 +241,17 @@ class TestPairCorrectionFallback:
     def test_non_finite_column_solution_uses_newton_correction(self, monkeypatch, ss_2x2):
         X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
         want = newton_correction(ss_2x2, X, S)
-        monkeypatch.setattr(np.linalg, "solve", lambda K, b: np.full(b.shape, np.inf))
+        monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: np.full(b.shape, np.inf), 0))
+        assert refine._schur_correction(ss_2x2, X, S) is None
+        pair, _ = refine_pair(ss_2x2, X, S, tol=0.0, maxit=1, line_search=False)
+        np.testing.assert_array_equal(pair.X, X + want.dX)
+        np.testing.assert_array_equal(pair.S, S + want.dS)
+
+    def test_singular_flag_from_lapack_uses_newton_correction(self, monkeypatch, ss_2x2):
+        # gesv reports an exactly singular column system by info > 0; its x is finite here
+        X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
+        want = newton_correction(ss_2x2, X, S)
+        monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: b, 1))
         assert refine._schur_correction(ss_2x2, X, S) is None
         pair, _ = refine_pair(ss_2x2, X, S, tol=0.0, maxit=1, line_search=False)
         np.testing.assert_array_equal(pair.X, X + want.dX)
@@ -333,7 +348,17 @@ class TestSolventCorrectionFallback:
         S = (np.diag([1.0, 2.0]) + 1e-3).astype(complex)
         rhs = -eval_matrix(quad_2x2, S).ravel(order="F")
         want = np.linalg.lstsq(solvent_jacobian(quad_2x2, S), rhs, rcond=None)[0].reshape((2, 2), order="F")
-        monkeypatch.setattr(np.linalg, "solve", lambda K, b: np.full(b.shape, np.inf))
+        monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: np.full(b.shape, np.inf), 0))
+        assert refine._solvent_correction(quad_2x2, S) is None
+        with pytest.warns(UserWarning, match="using pseudoinverse"):
+            sol, _ = refine_solvent(quad_2x2, S, tol=0.0, maxit=1, line_search=False)
+        np.testing.assert_array_equal(sol.S, S + want)
+
+    def test_singular_flag_from_lapack_uses_pseudoinverse(self, monkeypatch, quad_2x2):
+        S = (np.diag([1.0, 2.0]) + 1e-3).astype(complex)
+        rhs = -eval_matrix(quad_2x2, S).ravel(order="F")
+        want = np.linalg.lstsq(solvent_jacobian(quad_2x2, S), rhs, rcond=None)[0].reshape((2, 2), order="F")
+        monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: b, 1))
         assert refine._solvent_correction(quad_2x2, S) is None
         with pytest.warns(UserWarning, match="using pseudoinverse"):
             sol, _ = refine_solvent(quad_2x2, S, tol=0.0, maxit=1, line_search=False)
@@ -588,6 +613,40 @@ class TestRefinePair:
     def test_rejects_malformed_start(self, ss_2x2, X0, S0, match):
         with pytest.raises(ValueError, match=match):
             refine_pair(ss_2x2, X0, S0)
+
+
+class TestLoopControls:
+    @pytest.mark.parametrize("refine_call", ["pair", "solvent"])
+    @pytest.mark.parametrize("options, match", [
+        (dict(tol=np.nan), "tol must be finite"),
+        (dict(tol=np.inf), "tol must be finite"),
+        (dict(tol=-1e-3), "tol must be finite and nonnegative"),
+        (dict(maxit=-2), "maxit must be nonnegative"),
+        (dict(maxit=2.5), "maxit must be an integer"),
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "maxit-negative", "maxit-fraction"])
+    def test_rejects_invalid_loop_controls(self, ss_2x2, quad_2x2, refine_call, options, match):
+        with pytest.raises(ValueError, match=match):
+            if refine_call == "pair":
+                refine_pair(ss_2x2, GOLDEN_X_SS + 1e-3, GOLDEN_S_SS, **options)
+            else:
+                refine_solvent(quad_2x2, np.diag([1.0, 2.0]) + 1e-3, **options)
+
+    def test_numpy_integer_maxit(self, ss_2x2):
+        _, report = refine_pair(ss_2x2, GOLDEN_X_SS + 1e-3, GOLDEN_S_SS, tol=0.0, maxit=np.int64(2))
+        assert report.iterations == 2
+
+    @pytest.mark.parametrize("line_search", [True, False])
+    def test_one_residual_per_iterate(self, monkeypatch, ss_2x2, line_search):
+        calls = []
+
+        def counting(P, pair):
+            calls.append(1)
+            return eval_pair(P, pair)
+
+        monkeypatch.setattr(refine, "eval_pair", counting)
+        _, report = refine_pair(ss_2x2, GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3, line_search=line_search)
+        assert report.converged and report.iterations >= 2
+        assert len(calls) == report.iterations + 1
 
 
 def extract_invariant_pair_for(P):

@@ -203,8 +203,10 @@ def test_cli_cases_cover_every_command_fixture_and_probe_file():
     for probes in data.glob("probes/*.json"):
         used = {c[0] for c in cases if f"src/invpairs/data/probes/{probes.name}" in c}
         assert used == {"pair", "block-pair", "moments", "refine"}, probes.name
-    assert sum("--perturb" in c for c in cases) == 2 * len(fixtures)
-    shapes = (("block-pair", "--xi", "1"), ("block-pair", "--xi", "3"), ("pair", "--m", "1"))
+    assert sum("--perturb" in c for c in cases) == 6 * len(fixtures)
+    shapes = (("block-pair", "--xi", "1"), ("block-pair", "--xi", "3"), ("pair", "--m", "1"),
+              ("refine", "--perturb", "1e-3", "--seed", "3"), ("refine", "--perturb", "1e-1", "--seed", "3"),
+              ("refine", "--perturb", "1e-2", "--no-line-search", "--seed", "3"))
     for fixture, (center, radius) in sa.FIXTURE_CIRCLES.items():
         contour = [f"src/invpairs/data/{fixture}.json", "--center", center, "--radius", radius]
         for (cmd, *option), fmt in itertools.product(shapes, ("json", "csv")):

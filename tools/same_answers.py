@@ -19,10 +19,10 @@ the workload that runs it; by default all three run.
 
 `--cli` compares the command line instead: exit code and stdout of every
 case of `cli_cases()` (each command on each bundled fixture in JSON and
-CSV, the pencil shapes of SHAPE_CASES, the probe-file commands with each
-bundled probe file, a perturbed refine and the bench runs), with the CSV
-`*_time` columns masked.  One subprocess per side runs the cases
-in-process through `run_command`.
+CSV, the pencil shapes of SHAPE_CASES, the perturbed refines of
+REFINE_RUNS, the probe-file commands with each bundled probe file and the
+bench runs), with the CSV `*_time` columns masked.  One subprocess per
+side runs the cases in-process through `run_command`.
 """
 
 import argparse
@@ -67,6 +67,10 @@ FORMATS = (["--format", "json"], ["--format", "csv"])
 # Pencil shapes beyond the defaults (xi = 2 blocks, m = the count): scalar
 # and wider block pencils, and the 1-by-1 pencil
 SHAPE_CASES = (("block-pair", ["--xi", "1"]), ("block-pair", ["--xi", "3"]), ("pair", ["--m", "1"]))
+# Perturbed refine runs: near the pair, and far enough out (1e-1) that some
+# fixtures take tens of iterations with step lengths inside (0, 1)
+REFINE_RUNS = (["--perturb", "1e-3", "--seed", "3"], ["--perturb", "1e-1", "--seed", "3"],
+               ["--perturb", "1e-2", "--no-line-search", "--seed", "3"])
 
 
 def _feed(h, value):
@@ -181,7 +185,7 @@ def cli_cases(tree):
         for fmt in FORMATS:
             cases += [[cmd, *contour, *fmt] for cmd in CONTOUR_COMMANDS]
             cases += [[cmd, *problem, *fmt] for cmd in ("enumerate", "triangular")]
-            cases.append(["refine", *contour, "--perturb", "1e-3", "--seed", "3", *fmt])
+            cases += [["refine", *contour, *option, *fmt] for option in REFINE_RUNS]
             cases += [[cmd, *contour, *option, *fmt] for cmd, option in SHAPE_CASES]
     for probes in sorted((Path(tree) / DATA / "probes").glob("*.json")):
         fixture = max((f for f in FIXTURE_CIRCLES if probes.stem == f or probes.stem.startswith(f + "_")), key=len)
