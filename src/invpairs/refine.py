@@ -360,9 +360,7 @@ def _roots(c):
         return ()
     if len(c) == 2:
         return np.array([-c[0] / c[1]])
-    D = len(c) - 1
-    companion = np.zeros((D, D))
-    companion.reshape(-1)[D::D + 1] = 1
+    companion = np.diag(np.ones(len(c) - 2), -1)
     companion[:, -1] -= c[:-1] / c[-1]
     r = np.linalg.eigvals(companion)
     r.sort()
