@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, schur
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .conditioning import _checked_pair, _ds_factors, pair_jacobian, solvent_jacobian
 from .contour import Contour
@@ -63,9 +63,11 @@ __all__ = [
     "default_line_search_contour",
 ]
 
-# LAPACK's solve, called directly: np.linalg.solve costs more in wrapper
-# than a small column system costs to solve
-_GESV, = get_lapack_funcs(("gesv",), dtype=complex)
+# LAPACK called directly, with the workspace and checks of the numpy and scipy
+# wrappers it replaces: on the small systems of one Newton iterate the
+# wrappers cost more than the arithmetic
+_GESV, _GEES, _GEQRF, _UNGQR = get_lapack_funcs(("gesv", "gees", "geqrf", "ungqr"), dtype=complex)
+_GEEV, _GEEV_LWORK = get_lapack_funcs(("geev", "geev_lwork"), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,8 @@ def _triangular_columns(E, T, rhs):
         # here, not once at the end: an inf in z_c turns the later updates into NaN with warnings
         if info > 0 or not np.isfinite(Z[:, c]).all():
             return None
-        Z[:, c + 1:] -= (E @ Z[:, c]).T @ pows[:, c, c + 1:]
+        if c + 1 < len(T):
+            Z[:, c + 1:] -= (E @ Z[:, c]).T @ pows[:, c, c + 1:]
     return Z
 
 
@@ -223,10 +226,12 @@ def _schur_correction(P, X, S, residual=None):
     """
     n, k = X.shape
     ell = P.degree
-    T, Q = schur(S, output="complex")
+    T, Q = _schur(S)
     Xq = X @ Q
-    V = Xq @ _powers(T, ell - 1)
-    W = np.linalg.qr(V.reshape(ell * n, k))[0].reshape(ell, n, k)
+    V = (Xq @ _powers(T, ell - 1)).reshape(ell * n, k)
+    # Q factor of V, as np.linalg.qr computes it
+    V, tau = _GEQRF(V, lwork=int(_GEQRF(V, lwork=-1)[2][0].real))[:2]
+    W = _UNGQR(V, tau, lwork=int(_UNGQR(V, tau, lwork=-1)[1][0].real))[0].reshape(ell, n, k)
     E = np.zeros((ell + 1, n + k, n + k), dtype=complex)
     E[:, :n, :n] = P.coeffs
     E[:ell, n:, :n] = W.conj().transpose(0, 2, 1)
@@ -239,11 +244,25 @@ def _schur_correction(P, X, S, residual=None):
     return None if Z is None else (Z[:n] @ Q.conj().T, Q @ Z[n:] @ Q.conj().T)
 
 
+def _schur(S):
+    """Complex Schur form (T, Q) of S, as scipy.linalg.schur computes and checks it."""
+    S = np.asarray_chkfinite(S, dtype=complex)
+    lwork = int(_GEES(_unsorted, S, lwork=-1)[-2][0].real)
+    T, _, _, Q, _, info = _GEES(_unsorted, S, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Q
+
+
+def _unsorted(_):
+    return None
+
+
 def _solvent_correction(P, S):
     """Solvent correction dS, or None if singular: with S = Q T Q^H, the pair
     equation at X' = Q without the border, sum_m D_m dS' T^m = -P(S) Q for the
     _ds_factors D_m of (A, Q, T), and dS = Q dS' Q^H."""
-    T, Q = schur(S, output="complex")
+    T, Q = _schur(S)
     dS = _triangular_columns(_ds_factors(P.coeffs, Q, T), T, -eval_matrix(P, S) @ Q)
     return None if dS is None else Q @ dS @ Q.conj().T
 
@@ -362,7 +381,12 @@ def _roots(c):
         return np.array([-c[0] / c[1]])
     companion = np.diag(np.ones(len(c) - 2), -1)
     companion[:, -1] -= c[:-1] / c[-1]
-    r = np.linalg.eigvals(companion)
+    # the eigenvalues as np.linalg.eigvals computes and checks them
+    if not np.isfinite(companion).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    lwork = int(_GEEV_LWORK(len(companion), compute_vl=0, compute_vr=0)[0])
+    wr, wi = _GEEV(companion, compute_vl=0, compute_vr=0, lwork=lwork)[:2]
+    r = wr + 1j * wi
     r.sort()
     return r
 
