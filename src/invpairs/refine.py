@@ -247,15 +247,12 @@ def _schur_correction(P, X, S, residual=None):
 def _schur(S):
     """Complex Schur form (T, Q) of S, as scipy.linalg.schur computes and checks it."""
     S = np.asarray_chkfinite(S, dtype=complex)
-    lwork = int(_GEES(_unsorted, S, lwork=-1)[-2][0].real)
-    T, _, _, Q, _, info = _GEES(_unsorted, S, lwork=lwork)
+    # sort_t = 0: the select callback is never called
+    lwork = int(_GEES(lambda _: None, S, lwork=-1)[-2][0].real)
+    T, _, _, Q, _, info = _GEES(lambda _: None, S, lwork=lwork)
     if info:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return T, Q
-
-
-def _unsorted(_):
-    return None
 
 
 def _solvent_correction(P, S):
@@ -385,7 +382,9 @@ def _roots(c):
     if not np.isfinite(companion).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     lwork = int(_GEEV_LWORK(len(companion), compute_vl=0, compute_vr=0)[0])
-    wr, wi = _GEEV(companion, compute_vl=0, compute_vr=0, lwork=lwork)[:2]
+    wr, wi, _, _, info = _GEEV(companion, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     r = wr + 1j * wi
     r.sort()
     return r

@@ -294,6 +294,46 @@ class TestTriangularColumns:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+class TestDirectLapack:
+    """The LAPACK routines refine calls directly keep their wrappers' bits and errors."""
+
+    def test_schur_matches_scipy(self):
+        from scipy.linalg import schur
+
+        rng = np.random.default_rng(41)
+        for k in range(1, 13):
+            S = _noise(rng, (k, k))
+            for got, want in zip(refine._schur(S), schur(S, output="complex")):
+                np.testing.assert_array_equal(got, want)
+
+    def test_schur_correction_qr_matches_numpy(self, monkeypatch, ss_2x2):
+        ungqr, factors = refine._UNGQR, []
+
+        def recording(*args, **kwargs):
+            factors.append(ungqr(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(refine, "_UNGQR", recording)
+        X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
+        refine._schur_correction(ss_2x2, X, S)
+        T, Q = refine._schur(S)
+        V = (X @ Q @ refine._powers(T, ss_2x2.degree - 1)).reshape(-1, X.shape[1])
+        np.testing.assert_array_equal(factors[-1][0], np.linalg.qr(V)[0])
+
+    def test_errors_match_the_wrappers(self, monkeypatch):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            refine._schur(np.array([[np.nan]]))
+        with pytest.raises(np.linalg.LinAlgError, match="must not contain infs or NaNs"):
+            refine._roots(np.array([np.inf, 1.0, 1.0]))
+        gees, geev = refine._GEES, refine._GEEV
+        monkeypatch.setattr(refine, "_GEES", lambda *a, **kw: (*gees(*a, **kw)[:-1], 1))
+        monkeypatch.setattr(refine, "_GEEV", lambda *a, **kw: (*geev(*a, **kw)[:-1], 1))
+        with pytest.raises(np.linalg.LinAlgError, match="Schur form not found"):
+            refine._schur(np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            refine._roots(np.array([1.0, 2.0, 3.0]))
+
+
 def _near_solvent(seed, n, ell):
     """The solvent of a random P built from n of its eigenpairs, perturbed by 1e-4."""
     rng = np.random.default_rng(seed)
