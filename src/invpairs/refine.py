@@ -32,6 +32,11 @@ the same loop and the same column solves, without the border.  Its history
 reports P(I, S) as the pair loop does, while its right-hand side is P(S)
 by Horner; the two round differently, and each keeps the bits it has
 always had.  Plain Newton is the t = 1 special case.
+
+The Schur form, the basis W, the column solves and the roots of p'(t) come
+from LAPACK called directly (gees, geqrf and ungqr, gesv, geev), with the
+workspace queries and checks of the numpy and scipy wrappers they replace,
+so each returns those wrappers' bits.
 """
 
 import math
@@ -63,9 +68,8 @@ __all__ = [
     "default_line_search_contour",
 ]
 
-# LAPACK called directly, with the workspace and checks of the numpy and scipy
-# wrappers it replaces: on the small systems of one Newton iterate the
-# wrappers cost more than the arithmetic
+# on the small systems of one Newton iterate the numpy and scipy wrappers
+# cost more than the LAPACK arithmetic
 _GESV, _GEES, _GEQRF, _UNGQR = get_lapack_funcs(("gesv", "gees", "geqrf", "ungqr"), dtype=complex)
 _GEEV, _GEEV_LWORK = get_lapack_funcs(("geev", "geev_lwork"), dtype=float)
 
