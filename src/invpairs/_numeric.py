@@ -1,4 +1,7 @@
-"""Shared numerical conventions: rank decisions and eigenvalue clustering."""
+"""Shared numerical conventions: input checks, rank decisions and eigenvalue clustering."""
+
+import math
+import operator
 
 import numpy as np
 
@@ -22,6 +25,31 @@ def require_finite(a, what):
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
     return a
+
+
+def require_tolerance(tol):
+    """`tol` itself; ValueError unless it is finite and nonnegative.
+
+    A NaN tolerance fails every `x <= tol` gate and an infinite one passes
+    any finite x, so neither can decide anything.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def require_integer(value, what):
+    """`value` as an int; ValueError naming `what` unless it is an integer.
+
+    Python and numpy integers pass (operator.index); floats and bools do not.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return index
 
 
 def numerical_rank(a):

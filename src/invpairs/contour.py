@@ -41,7 +41,6 @@ thread factored a node.
 
 import cmath
 import math
-import operator
 import os
 import threading
 import warnings
@@ -52,7 +51,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .matpoly import _horner_into, eval_derivative
-from ._numeric import numerical_rank
+from ._numeric import numerical_rank, require_integer
 
 __all__ = [
     "Contour",
@@ -119,11 +118,7 @@ class Contour:
             raise ValueError(f"center must be finite, got {center}")
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"radius must be positive and finite, got {radius}")
-        try:
-            nodes = operator.index(self.nodes)
-        except TypeError:
-            raise ValueError(f"nodes must be an integer, got {self.nodes!r}") from None
-        if nodes < 4:
+        if require_integer(self.nodes, "nodes") < 4:
             raise ValueError("need at least 4 quadrature nodes")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)

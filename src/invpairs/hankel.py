@@ -37,7 +37,7 @@ from .contour import (
     scalar_moments,
 )
 from .matpoly import InvariantPair
-from ._numeric import cluster_eigenvalues, numerical_rank
+from ._numeric import cluster_eigenvalues, numerical_rank, require_integer
 
 __all__ = [
     "HankelPencil",
@@ -180,11 +180,13 @@ def _resolve_size(P, contour, V, m):
     nodes takes; only where the winding gives up does the trace count make
     a pass of its own.
     """
-    if m is not None and m < 1:
-        raise ValueError("m must be at least 1")
+    if m is not None:
+        m = require_integer(m, "m")
+        if m < 1:
+            raise ValueError("m must be at least 1")
     nodes = _solve_at_nodes(P, contour, V)
     if m is not None:
-        return int(m), False, nodes
+        return m, False, nodes
     count = _winding_count(P, nodes)
     if count is None:
         count = count_eigenvalues_inside(P, contour).count
@@ -197,7 +199,7 @@ def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
     """Invariant pair (X, S) = ([s_0 ... s_{m-1}], C) from scalar moments.
 
     The xi = 1 case of extract_block_invariant_pair.  `m` defaults to the
-    enclosed-eigenvalue count.  When H0 turns out rank deficient at that
+    enclosed-eigenvalue count; a given m must be an integer of at least 1.  When H0 turns out rank deficient at that
     default (eigenvalues invisible to the scalar method), the pencil is
     truncated to the numerical rank with a warning; an explicitly requested
     m is strict and raises HankelRankError instead.
@@ -222,8 +224,9 @@ def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
 def extract_block_invariant_pair(P, contour, U, V, m=None):
     """Invariant pair (Y, T) from block moments with n-by-xi probes.
 
-    `m` defaults to the enclosed-eigenvalue count; any rank deficiency of the
-    pencil raises HankelRankError.
+    `m` defaults to the enclosed-eigenvalue count; a given m must be an
+    integer of at least 1.  Any rank deficiency of the pencil raises
+    HankelRankError.
     """
     U, V = _block_probes(P, U, V)
     m, _, nodes = _resolve_size(P, contour, V, m)

@@ -28,10 +28,10 @@ p(t) = sum_{d,e} t^(d+e) Re<C_d, C_e> holds exactly for every degree.  The
 paper's six-term form of p, built from two contour integrals and exact for
 degree <= 2, is the reference reached by passing a contour to
 line_search_poly.  A solvent S is refined as the pair (I, S) with DX = 0 by
-the same loop and the same column solves, without the border.  Its history
-reports P(I, S) as the pair loop does, while its right-hand side is P(S)
-by Horner; the two round differently, and each keeps the bits it has
-always had.  Plain Newton is the t = 1 special case.
+the same loop and the same column solves, without the border.  Its residual
+is P(S) by Horner, evaluated once per iterate for the history, the
+right-hand side and the returned Solvent's residual; it is the residual
+verify_solvent reads.  Plain Newton is the t = 1 special case.
 
 The Schur form, the basis W, the column solves and the roots of p'(t) come
 from LAPACK called directly (gees, geqrf and ungqr, gesv, geev), with the
@@ -39,8 +39,6 @@ workspace queries and checks of the numpy and scipy wrappers they replace,
 so each returns those wrappers' bits.
 """
 
-import math
-import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -53,7 +51,7 @@ from .conditioning import _checked_pair, _ds_factors, pair_jacobian, solvent_jac
 from .contour import Contour
 from .matpoly import InvariantPair, _as_square_complex, _powers, eval_matrix, eval_pair, eval_scalar
 from .solvents import Solvent, _residual_scale
-from ._numeric import require_finite
+from ._numeric import require_finite, require_integer, require_tolerance
 
 __all__ = [
     "RefinementReport",
@@ -218,7 +216,7 @@ def _triangular_columns(E, T, rhs):
     return Z
 
 
-def _schur_correction(P, X, S, residual=None):
+def _schur_correction(P, X, S, R):
     """Newton correction normalized by W^H DV_ell(dX, dS) = 0, or None if singular.
 
     In the Schur basis S = Q T Q^H, X' = X Q, W is an orthonormal basis of
@@ -226,7 +224,7 @@ def _schur_correction(P, X, S, residual=None):
     Ahat_j = [A_j; W_j^H] (W_ell = 0) turn the normalized equation into
     sum_j [Ahat_j | D_j] [dX'; dS'] T^j = [-P(X, S) Q; 0], with the
     _ds_factors D_j of (Ahat, X', T) and D_ell = 0: k bordered column solves
-    of size n + k.  `residual` is P(X, S) when the caller already has it.
+    of size n + k.  R is the residual P(X, S).
     """
     n, k = X.shape
     ell = P.degree
@@ -243,7 +241,7 @@ def _schur_correction(P, X, S, residual=None):
     rhs = np.zeros((n + k, k), dtype=complex)
     # P(X, S) Q, not P(X', T): T equals Q^H S Q only to roundoff in S, which
     # near a pair is large against the residual
-    rhs[:n] = -(eval_pair(P, (X, S)) if residual is None else residual) @ Q
+    rhs[:n] = -R @ Q
     Z = _triangular_columns(E, T, rhs)
     return None if Z is None else (Z[:n] @ Q.conj().T, Q @ Z[n:] @ Q.conj().T)
 
@@ -259,12 +257,12 @@ def _schur(S):
     return T, Q
 
 
-def _solvent_correction(P, S):
-    """Solvent correction dS, or None if singular: with S = Q T Q^H, the pair
-    equation at X' = Q without the border, sum_m D_m dS' T^m = -P(S) Q for the
-    _ds_factors D_m of (A, Q, T), and dS = Q dS' Q^H."""
+def _solvent_correction(P, S, R):
+    """Solvent correction dS, or None if singular: with S = Q T Q^H and R = P(S),
+    the pair equation at X' = Q without the border, sum_m D_m dS' T^m = -R Q
+    for the _ds_factors D_m of (A, Q, T), and dS = Q dS' Q^H."""
     T, Q = _schur(S)
-    dS = _triangular_columns(_ds_factors(P.coeffs, Q, T), T, -eval_matrix(P, S) @ Q)
+    dS = _triangular_columns(_ds_factors(P.coeffs, Q, T), T, -R @ Q)
     return None if dS is None else Q @ dS @ Q.conj().T
 
 
@@ -394,24 +392,21 @@ def _roots(c):
     return r
 
 
-def _newton(P, X, S, correction, scale, tol, maxit, line_search):
+def _newton(P, X, S, residual, correction, scale, tol, maxit, line_search):
     """Newton loop shared by pairs and solvents.
 
-    Each iterate evaluates its residual R = P(X, S) once: ||R||_F relative
-    to scale(X, S) goes to the history, and correction(X, S, R) returns the
-    step direction (dX, dS).  Raises ValueError unless tol is finite and
-    nonnegative and maxit is a nonnegative integer.
+    Each iterate evaluates its residual R = residual(X, S) once: ||R||_F
+    relative to scale(X, S) goes to the history, and correction(X, S, R)
+    returns the step direction (dX, dS).  Returns the last iterate, its R
+    and the report.  Raises ValueError unless tol is finite and nonnegative
+    and maxit is a nonnegative integer.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    try:
-        maxit = operator.index(maxit)
-    except TypeError:
-        raise ValueError(f"maxit must be an integer, got {maxit!r}") from None
+    require_tolerance(tol)
+    maxit = require_integer(maxit, "maxit")
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
     start = time.perf_counter()
-    R = eval_pair(P, (X, S))
+    R = residual(X, S)
     history = [float(np.linalg.norm(R, "fro") / scale(X, S))]
     steps = []
     while len(steps) < maxit and history[-1] >= tol:
@@ -420,7 +415,7 @@ def _newton(P, X, S, correction, scale, tol, maxit, line_search):
         X = X + t * dX
         S = S + t * dS
         steps.append(float(t))
-        R = eval_pair(P, (X, S))
+        R = residual(X, S)
         history.append(float(np.linalg.norm(R, "fro") / scale(X, S)))
     report = RefinementReport(
         iterations=len(steps),
@@ -429,7 +424,7 @@ def _newton(P, X, S, correction, scale, tol, maxit, line_search):
         converged=history[-1] < tol,
         wall_time=time.perf_counter() - start,
     )
-    return X, S, report
+    return X, S, R, report
 
 
 def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
@@ -444,8 +439,9 @@ def refine_pair(P, X0, S0, tol=1e-12, maxit=500, line_search=True):
     and nonnegative and maxit is a nonnegative integer.
     """
     X0, S0 = _checked_pair(P, X0, S0)
-    X, S, report = _newton(
-        P, X0, S0, lambda X, S, R: _schur_correction(P, X, S, R) or newton_correction(P, X, S)[:2],
+    X, S, _, report = _newton(
+        P, X0, S0, lambda X, S: eval_pair(P, (X, S)),
+        lambda X, S, R: _schur_correction(P, X, S, R) or newton_correction(P, X, S)[:2],
         lambda X, S: np.linalg.norm(X, "fro"), tol, maxit, line_search,
     )
     return InvariantPair(X, S), report
@@ -457,22 +453,22 @@ def refine_solvent(P, S0, tol=1e-12, maxit=500, line_search=True):
     Each step is the Schur-structured correction; where a column system is
     singular it is the pseudoinverse solution of the dense solvent Jacobian,
     with a warning.  Stops when ||P(S_k)||_F / max(||S_k||_F, 1) < tol.
-    Raises ValueError unless S0 is a finite n-by-n matrix, tol is finite
-    and nonnegative and maxit is a nonnegative integer.
+    The residual P(S_k) is taken by Horner, once per iterate, and the
+    returned Solvent carries ||P(S)||_F of the last one.  Raises ValueError
+    unless S0 is a finite n-by-n matrix, tol is finite and nonnegative and
+    maxit is a nonnegative integer.
     """
     S0 = require_finite(_as_square_complex(S0, P.n, what="S"), "S")
     dX = np.zeros_like(S0)
 
     def correction(X, S, R):
-        # R = P(I, S) is left unused: P(S) by Horner rounds differently
-        dS = _solvent_correction(P, S)
+        dS = _solvent_correction(P, S, R)
         if dS is None:
             warnings.warn("solvent Jacobian singular at iterate; using pseudoinverse", stacklevel=4)
-            rhs = -eval_matrix(P, S).ravel(order="F")
-            dS = np.linalg.lstsq(solvent_jacobian(P, S), rhs, rcond=None)[0].reshape(S.shape, order="F")
+            dS = np.linalg.lstsq(solvent_jacobian(P, S), -R.ravel(order="F"), rcond=None)[0]
+            dS = dS.reshape(S.shape, order="F")
         return dX, dS
 
-    _, S, report = _newton(P, np.eye(P.n, dtype=complex), S0, correction,
-                           lambda X, S: _residual_scale(S), tol, maxit, line_search)
-    residual = float(np.linalg.norm(eval_matrix(P, S), "fro"))
-    return Solvent(S, residual), report
+    _, S, R, report = _newton(P, np.eye(P.n, dtype=complex), S0, lambda X, S: eval_matrix(P, S),
+                              correction, lambda X, S: _residual_scale(S), tol, maxit, line_search)
+    return Solvent(S, float(np.linalg.norm(R, "fro"))), report

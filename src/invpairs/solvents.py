@@ -32,7 +32,7 @@ import numpy as np
 from .matpoly import (
     MatrixPolynomial, _horner_at_matrix, _powers, companion_linearization, eval_matrix, eval_scalar,
 )
-from ._numeric import EPS, cluster_eigenvalues, numerical_rank, require_finite
+from ._numeric import EPS, cluster_eigenvalues, numerical_rank, require_finite, require_tolerance
 
 __all__ = [
     "Solvent",
@@ -179,6 +179,8 @@ def enumerate_solvents(P, eigpairs):
     array, one stacked SVD for the gate, one stacked solve for the
     similarities and one Horner evaluation for the residuals.  A stack holds
     B n^2 complex entries; beyond 16 MiB (large n) it is split into chunks.
+    Raises ValueError naming the eigenpair whose value or vector is not
+    finite or whose vector does not have n entries.
     """
     n = P.n
     p = len(eigpairs)
@@ -187,7 +189,12 @@ def enumerate_solvents(P, eigpairs):
     if math.comb(p, n) > MAX_SUBSETS:
         raise ValueError(f"{math.comb(p, n)} subsets exceed the cap of {MAX_SUBSETS}")
     mu = np.array([complex(lam) for lam, _ in eigpairs])
-    V = np.array([np.ravel(w) for _, w in eigpairs], dtype=complex)
+    vectors = [np.ravel(np.asarray(w, dtype=complex)) for _, w in eigpairs]
+    for i, w in enumerate(vectors):
+        if w.shape != (n,):
+            raise ValueError(f"eigenpair {i}: the vector has {w.size} entries, not n = {n}")
+        require_finite(np.append(mu[i], w), f"eigenpair {i}")
+    V = np.array(vectors)
     solvents, rejected = [], []
     for part in _chunks(list(itertools.combinations(range(p), n)), n):
         idx = np.array(part)
@@ -214,8 +221,10 @@ def verify_solvent(P, S, tol=1e-8):
     Reports ||P(S)||_F / max(||S||_F, 1), which does not blow up as S
     shrinks to 0, and, for every eigenpair (mu, w) of S, the residual
     ||P(mu) w||_2 / ||w||_2; a certified solvent keeps all of them within
-    tol.  Raises ValueError when S has a NaN or infinite entry.
+    tol.  Raises ValueError when S has a NaN or infinite entry or tol is
+    not finite and nonnegative.
     """
+    require_tolerance(tol)
     S = require_finite(np.asarray(S, dtype=complex), "S")
     residual = float(np.linalg.norm(eval_matrix(P, S), "fro") / _residual_scale(S))
     vals, vecs = np.linalg.eig(S)
@@ -461,8 +470,10 @@ def solvent_from_triangular(P, M, S_t, tol=1e-8):
     leading n-by-n block of M^{-1} [I; S_t; ...; S_t^{ell-1}], the matrix
     S = Y_1 S_t Y_1^{-1} solves P(S) = 0.  The residual ||P(S)||_F is
     checked against tol times max(1, sum_j ||A_j||_F ||S||_F^j), the size of
-    its roundoff; the returned Solvent carries it unscaled.
+    its roundoff; the returned Solvent carries it unscaled.  Raises
+    ValueError unless tol is finite and nonnegative.
     """
+    require_tolerance(tol)
     n, ell = P.n, P.degree
     M = np.asarray(M, dtype=complex)
     S_t = np.asarray(S_t, dtype=complex)

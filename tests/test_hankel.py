@@ -294,6 +294,15 @@ class TestExtractInvariantPair:
         with pytest.raises(ValueError, match="no eigenvalues"):
             extract_invariant_pair(ss_2x2, Contour(100.0, 0.1), [1, -1], [-1, 1])
 
+    @pytest.mark.parametrize("m", [3.9, 2.0, True, "3"], ids=["fraction", "float", "bool", "str"])
+    def test_non_integer_m_raises(self, diag_4x4, m):
+        # int(m) used to truncate 3.9 to 3 and read True as 1
+        with pytest.raises(ValueError, match="m must be an integer"):
+            extract_invariant_pair(diag_4x4, Contour(0.75, 0.5), m=m)
+
+    def test_numpy_integer_m(self, diag_4x4):
+        assert extract_invariant_pair(diag_4x4, Contour(0.75, 0.5), m=np.int64(2)).k == 2
+
 
 class TestExtractBlockInvariantPair:
     def test_example_with_moment_probes(self, multi_3x3, golden_contours):
@@ -319,6 +328,11 @@ class TestExtractBlockInvariantPair:
         pair_T = extract_block_invariant_pair(multi_3x3, golden_contours["multi_3x3"], U3, V3, m=5)
         res = eval_pair(multi_3x3, (GOLDEN_BLOCK_Y, pair_T.S))
         assert np.linalg.norm(res, "fro") > 1.0
+
+    def test_non_integer_m_raises(self, diag_4x4):
+        U = V = np.eye(4)[:, :2]
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            extract_block_invariant_pair(diag_4x4, Contour(0.75, 0.5), U, V, m=2.5)
 
     def test_default_m_uses_enclosed_count(self, multi_3x3, golden_contours):
         # with m unset the enclosed count 5 drives the truncated block solve

@@ -208,7 +208,7 @@ class TestSchurCorrection:
         want_dX, want_dS = _bordered_reference(P, X, S)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dX, dS = refine._schur_correction(P, X, S)
+            dX, dS = refine._schur_correction(P, X, S, eval_pair(P, (X, S)))
             pair, _ = refine_pair(P, X, S, tol=0.0, maxit=1, line_search=False)
         want = np.concatenate([want_dX.ravel(), want_dS.ravel()])
         got = np.concatenate([dX.ravel(), dS.ravel()])
@@ -229,7 +229,7 @@ class TestPairCorrectionFallback:
         S = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
         P = MatrixPolynomial([S @ S, -2 * S, np.eye(2)])
         X = np.eye(2, dtype=complex)
-        assert refine._schur_correction(P, X, S) is None
+        assert refine._schur_correction(P, X, S, eval_pair(P, (X, S))) is None
         with pytest.warns(UserWarning, match="far from simple"):
             want = newton_correction(P, X, S)
         with pytest.warns(UserWarning, match="far from simple"):
@@ -242,7 +242,7 @@ class TestPairCorrectionFallback:
         X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
         want = newton_correction(ss_2x2, X, S)
         monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: np.full(b.shape, np.inf), 0))
-        assert refine._schur_correction(ss_2x2, X, S) is None
+        assert refine._schur_correction(ss_2x2, X, S, eval_pair(ss_2x2, (X, S))) is None
         pair, _ = refine_pair(ss_2x2, X, S, tol=0.0, maxit=1, line_search=False)
         np.testing.assert_array_equal(pair.X, X + want.dX)
         np.testing.assert_array_equal(pair.S, S + want.dS)
@@ -252,7 +252,7 @@ class TestPairCorrectionFallback:
         X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
         want = newton_correction(ss_2x2, X, S)
         monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: b, 1))
-        assert refine._schur_correction(ss_2x2, X, S) is None
+        assert refine._schur_correction(ss_2x2, X, S, eval_pair(ss_2x2, (X, S))) is None
         pair, _ = refine_pair(ss_2x2, X, S, tol=0.0, maxit=1, line_search=False)
         np.testing.assert_array_equal(pair.X, X + want.dX)
         np.testing.assert_array_equal(pair.S, S + want.dS)
@@ -315,7 +315,7 @@ class TestDirectLapack:
 
         monkeypatch.setattr(refine, "_UNGQR", recording)
         X, S = GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3
-        refine._schur_correction(ss_2x2, X, S)
+        refine._schur_correction(ss_2x2, X, S, eval_pair(ss_2x2, (X, S)))
         T, Q = refine._schur(S)
         V = (X @ Q @ refine._powers(T, ss_2x2.degree - 1)).reshape(-1, X.shape[1])
         np.testing.assert_array_equal(factors[-1][0], np.linalg.qr(V)[0])
@@ -363,7 +363,7 @@ class TestSolventCorrection:
         want = np.linalg.solve(solvent_jacobian(P, S), rhs).reshape(S.shape, order="F")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dS = refine._solvent_correction(P, S)
+            dS = refine._solvent_correction(P, S, eval_matrix(P, S))
             sol, _ = refine_solvent(P, S, tol=0.0, maxit=1, line_search=False)
         assert np.linalg.norm(dS - want) <= 1e-10 * np.linalg.norm(want)
         # refine_solvent takes this step
@@ -376,7 +376,7 @@ class TestSolventCorrectionFallback:
         # at t_cc = 1 and -1 are singular
         D = np.diag([1.0, -1.0]).astype(complex)
         P = MatrixPolynomial([D @ D, -2 * D, np.eye(2)])
-        assert refine._solvent_correction(P, D) is None
+        assert refine._solvent_correction(P, D, eval_matrix(P, D)) is None
         rhs = -eval_matrix(P, D).ravel(order="F")
         want = np.linalg.lstsq(solvent_jacobian(P, D), rhs, rcond=None)[0].reshape((2, 2), order="F")
         with pytest.warns(UserWarning, match="using pseudoinverse"):
@@ -389,7 +389,7 @@ class TestSolventCorrectionFallback:
         rhs = -eval_matrix(quad_2x2, S).ravel(order="F")
         want = np.linalg.lstsq(solvent_jacobian(quad_2x2, S), rhs, rcond=None)[0].reshape((2, 2), order="F")
         monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: np.full(b.shape, np.inf), 0))
-        assert refine._solvent_correction(quad_2x2, S) is None
+        assert refine._solvent_correction(quad_2x2, S, eval_matrix(quad_2x2, S)) is None
         with pytest.warns(UserWarning, match="using pseudoinverse"):
             sol, _ = refine_solvent(quad_2x2, S, tol=0.0, maxit=1, line_search=False)
         np.testing.assert_array_equal(sol.S, S + want)
@@ -399,7 +399,7 @@ class TestSolventCorrectionFallback:
         rhs = -eval_matrix(quad_2x2, S).ravel(order="F")
         want = np.linalg.lstsq(solvent_jacobian(quad_2x2, S), rhs, rcond=None)[0].reshape((2, 2), order="F")
         monkeypatch.setattr(refine, "_GESV", _fake_gesv(lambda b: b, 1))
-        assert refine._solvent_correction(quad_2x2, S) is None
+        assert refine._solvent_correction(quad_2x2, S, eval_matrix(quad_2x2, S)) is None
         with pytest.warns(UserWarning, match="using pseudoinverse"):
             sol, _ = refine_solvent(quad_2x2, S, tol=0.0, maxit=1, line_search=False)
         np.testing.assert_array_equal(sol.S, S + want)
@@ -663,7 +663,8 @@ class TestLoopControls:
         (dict(tol=-1e-3), "tol must be finite and nonnegative"),
         (dict(maxit=-2), "maxit must be nonnegative"),
         (dict(maxit=2.5), "maxit must be an integer"),
-    ], ids=["tol-nan", "tol-inf", "tol-negative", "maxit-negative", "maxit-fraction"])
+        (dict(maxit=True), "maxit must be an integer"),
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "maxit-negative", "maxit-fraction", "maxit-bool"])
     def test_rejects_invalid_loop_controls(self, ss_2x2, quad_2x2, refine_call, options, match):
         with pytest.raises(ValueError, match=match):
             if refine_call == "pair":
@@ -687,6 +688,25 @@ class TestLoopControls:
         _, report = refine_pair(ss_2x2, GOLDEN_X_SS + 1e-3, GOLDEN_S_SS + 1e-3, line_search=line_search)
         assert report.converged and report.iterations >= 2
         assert len(calls) == report.iterations + 1
+
+    @pytest.mark.parametrize("line_search", [True, False])
+    def test_one_horner_residual_per_solvent_iterate(self, monkeypatch, quad_2x2, line_search):
+        calls = {"eval_matrix": 0, "eval_pair": 0}
+
+        def counting(name):
+            original = getattr(refine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(refine, name, counting(name))
+        S0 = np.diag([1.0, 2.0]) + 1e-3 * _noise(np.random.default_rng(12), (2, 2))
+        _, report = refine_solvent(quad_2x2, S0, line_search=line_search)
+        assert report.converged and report.iterations >= 2
+        assert calls == {"eval_matrix": report.iterations + 1, "eval_pair": 0}
 
 
 def extract_invariant_pair_for(P):
@@ -747,6 +767,19 @@ class TestRefineSolvent:
         sol, report = refine_solvent(P, 1e-3 * np.ones((2, 2)), maxit=3)
         assert report.converged
         assert np.linalg.norm(sol.S) <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(seed, id=f"seeded-{seed}") for seed in (21, 32, 42, 63)),
+        pytest.param("zero", id="zero-solvent"),
+    ])
+    def test_reports_the_residual_verify_solvent_reads(self, case):
+        if case == "zero":
+            P, S0 = MatrixPolynomial([np.zeros((2, 2)), np.diag([1.0, 2.0]), np.eye(2)]), 1e-3 * np.ones((2, 2))
+        else:
+            P, S0 = _near_solvent(case, case // 10, case % 10)
+        sol, report = refine_solvent(P, S0, tol=0.0, maxit=4)
+        assert report.residual_history[-1] == verify_solvent(P, sol.S).residual
+        assert sol.residual == np.linalg.norm(eval_matrix(P, sol.S), "fro")
 
     @pytest.mark.parametrize("S0, match", [
         (np.ones(2), "S must be square"),

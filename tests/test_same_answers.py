@@ -91,7 +91,7 @@ def test_run_once_passes_warnings_on_to_run_job():
     record = sa.run_once(_fake_run(), _job(warns))
     assert record["status"] == "flagged"
     assert record["warnings"] == ["truncating to rank 2"]
-    assert record["digest"] == sa.digest(np.ones(2))
+    assert record["digest"] == sa.part_digests(np.ones(2))
 
     record = sa.run_once(_fake_run(), _job(lambda: 1.0))
     assert (record["status"], record["counters"], record["warnings"]) == ("ok", {"calls": 1}, [])
@@ -106,12 +106,12 @@ def test_run_once_records_the_raised_error():
     record = sa.run_once(_fake_run(), _job(raises))
     assert record["status"] == "flagged"
     assert record["error"] == ["ValueError", "S_t is not a solvent"]
-    assert record["digest"] == sa.digest(None)
+    assert record["digest"] == sa.part_digests(None)
 
 
 def _record(seed, index, **changes):
     base = {"seed": seed, "index": index, "label": f"certify pair n={index}", "status": "ok",
-            "counters": {"c": 1}, "error": None, "warnings": [], "digest": "d" * 64}
+            "counters": {"c": 1}, "error": None, "warnings": [], "digest": {"result": "d" * 64}}
     return {**base, **changes}
 
 
@@ -121,12 +121,33 @@ def test_compare_reports_each_differing_job_once():
     assert sa.compare(parent, [dict(r) for r in parent]) == []
 
     child = [_record(1, 0), _record(1, 1, status="flagged", warnings=["w"]),
-             _record(2, 0, digest="e" * 64)]
+             _record(2, 0, digest={"result": "e" * 64})]
     lines = sa.compare(parent, child)
     assert len(lines) == 3
     assert lines[0].startswith("seed 1 job 1 (certify pair n=1): status 'ok' -> 'flagged'; warnings")
     assert lines[1].startswith("seed 2 job 0 (certify pair n=0): digest")
     assert lines[2] == "seed 2 job 1 (certify pair n=1): missing on the child side"
+
+
+def test_part_digests_split_tuples_and_result_objects():
+    sa = _load()
+    S = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
+    parts = sa.part_digests((InvariantPair(np.eye(2), S), _report(0.1)))
+    assert list(parts) == ["result[0].X", "result[0].S", "result[1].iterations", "result[1].residual_history",
+                           "result[1].step_lengths", "result[1].converged"]
+    assert parts == sa.part_digests((InvariantPair(np.eye(2), S), _report(7.0)))
+    assert sa.part_digests(None) == {"result": sa.digest(("", None))}
+    # the holder's type is part of each digest
+    assert sa.part_digests((S,)) != sa.part_digests([S]) != sa.part_digests(S)
+
+
+def test_compare_names_the_result_part_that_differs():
+    sa = _load()
+    S = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
+    results = [(InvariantPair(np.eye(2), S), _report(0.1)),
+               (InvariantPair(np.eye(2), S), _report(0.2, last=np.nextafter(1e-13, 1.0)))]
+    parent, child = ([_record(1, 0, digest=sa.part_digests(r))] for r in results)
+    assert sa.compare(parent, child) == ["seed 1 job 0 (certify pair n=0): digest of result[1].residual_history"]
 
 
 def test_refuses_to_run_with_uncommitted_source(monkeypatch):

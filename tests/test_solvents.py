@@ -241,6 +241,22 @@ class TestEnumerateSolvents:
         with pytest.raises(ValueError, match="at least"):
             enumerate_solvents(quad_2x2, QUAD_EIGENPAIRS[:1])
 
+    @pytest.mark.parametrize("bad, match", [
+        ((np.nan, [1.0, 0.0]), "eigenpair 1 has non-finite entries"),
+        ((2.0, [np.inf, 0.0]), "eigenpair 1 has non-finite entries"),
+        ((2.0, [1.0]), "eigenpair 1: the vector has 1 entries, not n = 2"),
+        ((2.0, [1.0, 0.0, 0.0]), "eigenpair 1: the vector has 3 entries, not n = 2"),
+    ], ids=["nan-value", "inf-vector", "short-vector", "long-vector"])
+    def test_rejects_malformed_eigenpair(self, quad_2x2, bad, match):
+        pairs = [QUAD_EIGENPAIRS[0], bad, QUAD_EIGENPAIRS[2]]
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            enumerate_solvents(quad_2x2, pairs)
+
+    def test_rejects_vectors_of_the_wrong_length(self, quad_2x2):
+        # all of one wrong length: the subsets' W would not be square
+        with pytest.raises(ValueError, match="^eigenpair 0: the vector has 3 entries, not n = 2$"):
+            enumerate_solvents(quad_2x2, [(lam, np.append(w, 1.0)) for lam, w in QUAD_EIGENPAIRS])
+
     def test_subset_cap_message(self):
         # diag((lam - i)(lam - i - 8)), i = 1..8: 16 eigenpairs, C(16, 8) subsets
         roots = np.arange(1.0, 9.0)
@@ -271,6 +287,15 @@ class TestVerifySolvent:
         # named before the eigendecomposition, which would not converge
         with pytest.raises(ValueError, match="S has non-finite entries"):
             verify_solvent(quad_2x2, np.array([[1.0, np.nan], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
+    def test_rejects_invalid_tol(self, quad_2x2, tol):
+        # an infinite tol certified any finite S, a NaN or negative one none
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_solvent(quad_2x2, np.zeros((2, 2)), tol=tol)
+
+    def test_zero_tol_is_accepted(self, quad_2x2):
+        assert verify_solvent(quad_2x2, np.zeros((2, 2)), tol=0.0).certified is False
 
 
 class TestTriangularSolve:
@@ -571,6 +596,12 @@ class TestSolventFromTriangular:
     def test_non_solvent_st_rejected(self, triangular_3x3):
         with pytest.raises(ValueError, match="not a solvent"):
             solvent_from_triangular(triangular_3x3, np.eye(6), np.eye(3))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
+    def test_rejects_invalid_tol(self, quad_2x2, tol):
+        # [[5, 1], [0, 7]] solves neither form; a NaN or infinite tol passed both gates
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            solvent_from_triangular(quad_2x2, np.eye(4), np.array([[5.0, 1.0], [0.0, 7.0]]), tol=tol)
 
     def test_singular_y1_detected(self, triangular_3x3):
         fam = triangular_solvent_solve(triangular_3x3)[1]

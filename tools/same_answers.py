@@ -10,8 +10,11 @@ uncommitted changes.  In each tree one subprocess per workload builds
 `jobs.build(workload, seed)` for every seed and runs each job once through
 that tree's `bench/run.py::run_job`, with BLAS pinned to one thread.  Per
 job it records the label, the status and counters, the raised error (type
-and message), the warning messages, and a SHA-256 digest of the result.
-Every job whose record differs between the sides is printed on one line,
+and message), the warning messages, and a SHA-256 digest of each part of
+the result: each element of a tuple and each field of a dataclass,
+NamedTuple or plain result object, timings left out.  Every job whose
+record differs between the sides is printed on one line that names the
+differing fields and result parts (such as result[1].residual_history),
 then a count per workload; the exit status is 1 on any difference.
 `--workload W` (repeatable; extract, refine or certify) limits the check to
 those workloads, so that a change confined to one layer can be checked on
@@ -88,28 +91,33 @@ def _feed(h, value):
         h.update(struct.pack("<d", value))
     elif isinstance(value, (complex, np.complexfloating)):
         h.update(struct.pack("<dd", value.real, value.imag))
-    elif isinstance(value, tuple) and hasattr(value, "_fields"):
-        _feed_fields(h, kind.__name__, ((f, getattr(value, f)) for f in value._fields))
-    elif isinstance(value, (tuple, list)):
+    elif isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):
         h.update(f"{len(value)}:".encode())
         for item in value:
             _feed(h, item)
-    elif isinstance(value, dict):
-        _feed_fields(h, kind.__name__, value.items())
-    elif dataclasses.is_dataclass(value):
-        _feed_fields(h, kind.__name__, ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value)))
-    elif hasattr(value, "__dict__"):
-        # plain result classes such as InvariantPair: their attributes
-        _feed_fields(h, kind.__name__, vars(value).items())
     else:
-        raise TypeError(f"cannot digest a {kind.__name__}")
-
-
-def _feed_fields(h, owner, items):
-    for name, value in items:
-        if (owner, name) not in TIMINGS:
+        items = value.items() if isinstance(value, dict) else _fields(value)
+        if items is None:
+            raise TypeError(f"cannot digest a {kind.__name__}")
+        for name, item in items:
             _feed(h, name)
-            _feed(h, value)
+            _feed(h, item)
+
+
+def _fields(value):
+    """The (name, value) fields of a NamedTuple, dataclass or plain result
+    object, timings left out; None for anything else."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        items = [(name, getattr(value, name)) for name in value._fields]
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        items = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    elif hasattr(value, "__dict__") and not isinstance(value, (np.ndarray, np.generic, type)):
+        # plain result classes such as InvariantPair: their attributes
+        items = list(vars(value).items())
+    else:
+        return None
+    owner = type(value).__name__
+    return [(name, item) for name, item in items if (owner, name) not in TIMINGS]
 
 
 def digest(value):
@@ -117,6 +125,22 @@ def digest(value):
     h = hashlib.sha256()
     _feed(h, value)
     return h.hexdigest()
+
+
+def part_digests(value, path="result", holders=""):
+    """{path: digest} of each part of a result, such as
+    {"result[1].residual_history": ...}: each element of a result tuple and
+    each field of a NamedTuple, dataclass or plain result object, at any
+    depth; a tuple held in a field stays whole.  A part's digest also covers
+    the types of the objects that hold it."""
+    if path == "result" and isinstance(value, tuple) and not hasattr(value, "_fields"):
+        parts = [(f"[{i}]", item) for i, item in enumerate(value)]
+    elif (fields := _fields(value)) is not None:
+        parts = [(f".{name}", item) for name, item in fields]
+    else:
+        return {path: digest((holders, value))}
+    holders += type(value).__name__ + "/"
+    return {key: d for name, item in parts for key, d in part_digests(item, path + name, holders).items()}
 
 
 def run_once(run, job):
@@ -149,7 +173,7 @@ def run_once(run, job):
     error = seen["error"]
     return {"label": job.label, "status": status, "counters": counters,
             "error": None if error is None else [type(error).__name__, str(error)],
-            "warnings": seen.get("warnings", []), "digest": digest(seen["result"])}
+            "warnings": seen.get("warnings", []), "digest": part_digests(seen["result"])}
 
 
 def worker(tree, workload, seeds):
@@ -249,7 +273,7 @@ def compare_cli(parent, child):
 
 
 def compare(parent, child):
-    """One line per job whose record differs, naming the fields that differ."""
+    """One line per job whose record differs, naming the fields and the result parts that differ."""
     lines = []
     left = {(r["seed"], r["index"]): r for r in parent}
     right = {(r["seed"], r["index"]): r for r in child}
@@ -259,10 +283,13 @@ def compare(parent, child):
             side = "parent" if a is None else "child"
             lines.append(f"seed {key[0]} job {key[1]} ({(a or b)['label']}): missing on the {side} side")
             continue
-        fields = [f for f in a if a[f] != b.get(f)]
-        if fields:
-            diffs = "; ".join(f"{f} {a[f]!r} -> {b.get(f)!r}" for f in fields)
-            lines.append(f"seed {key[0]} job {key[1]} ({a['label']}): {diffs}")
+        diffs = [f"{f} {a[f]!r} -> {b.get(f)!r}" for f in a if f != "digest" and a[f] != b.get(f)]
+        old, new = a["digest"], b["digest"]
+        parts = [p for p in dict.fromkeys([*old, *new]) if old.get(p) != new.get(p)]
+        if parts:
+            diffs.append(f"digest of {', '.join(parts)}")
+        if diffs:
+            lines.append(f"seed {key[0]} job {key[1]} ({a['label']}): {'; '.join(diffs)}")
     return lines
 
 
