@@ -28,14 +28,13 @@ def require_finite(a, what):
 
 
 def require_tolerance(tol):
-    """`tol` itself; ValueError unless it is finite and nonnegative.
+    """ValueError unless `tol` is finite and nonnegative.
 
     A NaN tolerance fails every `x <= tol` gate and an infinite one passes
     any finite x, so neither can decide anything.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    return tol
 
 
 def require_integer(value, what):
