@@ -199,10 +199,11 @@ def extract_invariant_pair(P, contour, u=None, v=None, m=None, seed=0):
     """Invariant pair (X, S) = ([s_0 ... s_{m-1}], C) from scalar moments.
 
     The xi = 1 case of extract_block_invariant_pair.  `m` defaults to the
-    enclosed-eigenvalue count; a given m must be an integer of at least 1.  When H0 turns out rank deficient at that
-    default (eigenvalues invisible to the scalar method), the pencil is
-    truncated to the numerical rank with a warning; an explicitly requested
-    m is strict and raises HankelRankError instead.
+    enclosed-eigenvalue count; a given m must be an integer of at least 1.
+    When H0 turns out rank deficient at that default (eigenvalues invisible
+    to the scalar method), the pencil is truncated to the numerical rank
+    with a warning; an explicitly requested m is strict and raises
+    HankelRankError instead.
     """
     u, v = _scalar_probes(P, u, v, seed)
     m, defaulted, nodes = _resolve_size(P, contour, v[:, None], m)
