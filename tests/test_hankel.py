@@ -296,7 +296,7 @@ class TestExtractInvariantPair:
 
     @pytest.mark.parametrize("m", [3.9, 2.0, True, "3"], ids=["fraction", "float", "bool", "str"])
     def test_non_integer_m_raises(self, diag_4x4, m):
-        # int(m) used to truncate 3.9 to 3 and read True as 1
+        # int(m) would truncate 3.9 to 3 and read True as 1
         with pytest.raises(ValueError, match="m must be an integer"):
             extract_invariant_pair(diag_4x4, Contour(0.75, 0.5), m=m)
 

@@ -290,7 +290,7 @@ class TestVerifySolvent:
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
     def test_rejects_invalid_tol(self, quad_2x2, tol):
-        # an infinite tol certified any finite S, a NaN or negative one none
+        # an infinite tol would certify any finite S, a NaN or negative one none
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             verify_solvent(quad_2x2, np.zeros((2, 2)), tol=tol)
 
@@ -599,7 +599,7 @@ class TestSolventFromTriangular:
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8], ids=["nan", "inf", "negative"])
     def test_rejects_invalid_tol(self, quad_2x2, tol):
-        # [[5, 1], [0, 7]] solves neither form; a NaN or infinite tol passed both gates
+        # [[5, 1], [0, 7]] solves neither form; a NaN or infinite tol would pass both gates
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             solvent_from_triangular(quad_2x2, np.eye(4), np.array([[5.0, 1.0], [0.0, 7.0]]), tol=tol)
 
