@@ -93,14 +93,20 @@ def _matrix_rows(lead, M):
 
 
 def _emit(data, csv_rows, fmt, out):
-    """Write either the JSON document or the CSV rows (header first)."""
+    """Write either the JSON document or the CSV rows (header first), to `out` or to stdout.
+
+    click.FileError (a usage error) when `out` cannot be written.
+    """
     if fmt == "json":
         text = json.dumps(data, indent=2, default=_json_default) + "\n"
     else:
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.FileError(out, hint=exc.strerror) from exc
     else:
         click.echo(text, nl=False)
 
@@ -501,27 +507,19 @@ def bench(seed, tol, maxit, verify, out, fmt):
 
 
 def _check_allclose(actual, expected, atol, desc):
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
+    """(desc, status) of an array against its expected value: ok, or FAIL on its shape or max error."""
     if actual.shape != expected.shape:
         return desc, f"FAIL shape {actual.shape} != {expected.shape}"
     err = float(np.abs(actual - expected).max()) if actual.size else 0.0
     return desc, "ok" if err <= atol else f"FAIL max error {err:.3e} > {atol:g}"
 
 
-def _first_failure(desc, checks):
-    """The first (desc, status) of `checks` whose status is not ok, else (desc, "ok")."""
-    return next((c for c in checks if c[1] != "ok"), (desc, "ok"))
-
-
 def _check_clusters(got, expected, atol, desc):
-    """(desc, status) of (value, multiplicity) clusters against expected [[re, im], multiplicity] rows."""
-    if len(got) != len(expected):
-        return desc, f"FAIL {len(got)} clusters, expected {len(expected)}"
+    """Comparisons of (value, multiplicity) clusters with [[re, im], multiplicity] rows: count, then each."""
+    yield desc, "ok" if len(got) == len(expected) else f"FAIL {len(got)} clusters, expected {len(expected)}"
     for (val, mult), ((re, im), emult) in zip(got, expected):
-        if mult != emult or abs(val - complex(re, im)) > atol:
-            return desc, f"FAIL cluster ({val:.6g},{mult}) vs ({complex(re, im):.6g},{emult})"
-    return desc, "ok"
+        failed = mult != emult or abs(val - complex(re, im)) > atol
+        yield desc, f"FAIL cluster ({val:.6g},{mult}) vs ({complex(re, im):.6g},{emult})" if failed else "ok"
 
 
 def _complex(entry):
@@ -541,10 +539,20 @@ def run_golden_checks():
 
 
 def _run_single_check(P, fixture, check):
+    """(name, status) of one data/expected check on P: its first failed comparison, else (name, "ok")."""
+    desc = f"{fixture}:{check.get('name', check['kind'])}"
+    comparisons = _comparisons(P, check, desc, float(check.get("atol", 1e-8)))
+    return next((c for c in comparisons if c[1] != "ok"), (desc, "ok"))
+
+
+def _comparisons(P, check, desc, atol):
+    """The (desc, status) comparisons of one golden check in order, each status "ok" or "FAIL ...".
+
+    A comparison may assume that those before it passed (solvents are matched
+    only once their number agrees, a triangular branch is read only after the
+    branch count), so it must never run after a failure: stop at the first.
+    """
     kind = check["kind"]
-    desc = f"{fixture}:{check.get('name', kind)}"
-    atol = float(check.get("atol", 1e-8))
-    contour = None
     if "center" in check:
         contour = Contour(complex(*check["center"]), check["radius"], check.get("nodes", 64))
     if "probes" in check:
@@ -554,81 +562,64 @@ def _run_single_check(P, fixture, check):
         hp = build_hankel(scalar_moments(P, contour, u, v, count=2 * check["m"]), check["m"])
     if kind == "moments":
         moms = scalar_moments(P, contour, u, v, count=len(check["expected"]))
-        return _check_allclose(moms.mu, _complex(check["expected"]), atol, desc)
-    if kind == "count":
+        yield _check_allclose(moms.mu, _complex(check["expected"]), atol, desc)
+    elif kind == "count":
         result = count_eigenvalues_inside(P, contour)
         ok = result.count == check["expected"] and result.quality <= atol
-        return desc, "ok" if ok else f"FAIL count {result.count} quality {result.quality:.2e}"
-    if kind == "companion_last_column":
-        C = companion_from_pencil(hp)
-        return _check_allclose(C[:, -1], _complex(check["expected"]), atol, desc)
-    if kind == "pencil_clusters":
-        return _check_clusters(pencil_eigenvalues(hp), check["expected"], atol, desc)
-    if kind == "pair":
+        yield desc, "ok" if ok else f"FAIL count {result.count} quality {result.quality:.2e}"
+    elif kind == "companion_last_column":
+        yield _check_allclose(companion_from_pencil(hp)[:, -1], _complex(check["expected"]), atol, desc)
+    elif kind == "pencil_clusters":
+        yield from _check_clusters(pencil_eigenvalues(hp), check["expected"], atol, desc)
+    elif kind == "pair":
         result = extract_invariant_pair(P, contour, u, v, m=check["m"])
+        yield _check_allclose(result.X, _complex(check["X"]), atol, desc + ":X")
+        yield _check_allclose(result.S, _complex(check["S"]), atol, desc + ":S")
         res = _relative_residual(P, result)
-        return _first_failure(desc, [
-            _check_allclose(result.X, _complex(check["X"]), atol, desc + ":X"),
-            _check_allclose(result.S, _complex(check["S"]), atol, desc + ":S"),
-            (desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"),
-        ])
-    if kind == "hankel_rank":
+        yield desc, "ok" if res <= atol else f"FAIL residual {res:.3e}"
+    elif kind == "hankel_rank":
         rank = numerical_rank(hp.H0)
-        return desc, "ok" if rank == check["expected"] else f"FAIL rank {rank}"
-    if kind == "block_moments":
+        yield desc, "ok" if rank == check["expected"] else f"FAIL rank {rank}"
+    elif kind == "block_moments":
         bmoms = block_moments(P, contour, U, V, count=len(check["expected"]))
-        return _first_failure(desc, [
-            _check_allclose(M, _complex(exp), atol, f"{desc}:M{k}")
-            for k, (M, exp) in enumerate(zip(bmoms.moments, check["expected"]))
-        ])
-    if kind == "block_pair":
+        for k, (M, exp) in enumerate(zip(bmoms.moments, check["expected"])):
+            yield _check_allclose(M, _complex(exp), atol, f"{desc}:M{k}")
+    elif kind == "block_pair":
         result = extract_block_invariant_pair(P, contour, U, V, m=check["m"])
+        for key, block in (("Y", result.X), ("T", result.S)):
+            if key in check:
+                yield _check_allclose(block, _complex(check[key]), atol, f"{desc}:{key}")
         res = float(np.linalg.norm(eval_pair(P, result), "fro"))
+        yield desc, f"FAIL residual {res:.3e}" if res > atol else "ok"
         vals = np.linalg.eigvals(result.S)
         got = cluster_eigenvalues(vals, scale=max(1.0, float(np.linalg.norm(result.S, "fro"))))
-        return _first_failure(desc, [
-            *(_check_allclose(block, _complex(check[key]), atol, f"{desc}:{key}")
-              for key, block in (("Y", result.X), ("T", result.S)) if key in check),
-            (desc, f"FAIL residual {res:.3e}" if res > atol else "ok"),
-            _check_clusters(got, check["eig_clusters"], float(check.get("cluster_atol", 1e-6)), desc),
-        ])
-    if kind == "solvent_set":
+        yield from _check_clusters(got, check["eig_clusters"], float(check.get("cluster_atol", 1e-6)), desc)
+    elif kind == "solvent_set":
         sols, rejected = enumerate_solvents(P, _companion_eigenpairs(P))
-        expected = [_complex(s) for s in check["expected"]]
-        if len(sols) != len(expected):
-            return desc, f"FAIL {len(sols)} solvents, expected {len(expected)}"
+        refs = [_complex(s) for s in check["expected"]]
+        yield desc, "ok" if len(sols) == len(refs) else f"FAIL {len(sols)} solvents, expected {len(refs)}"
         unused = list(range(len(sols)))
-        for exp in expected:
+        for exp in refs:
             match = next((i for i in unused if np.abs(sols[i].S - exp).max() <= atol), None)
-            if match is None:
-                return desc, "FAIL a reference solvent was not produced"
+            yield desc, "FAIL a reference solvent was not produced" if match is None else "ok"
             unused.remove(match)
         got_rejected = [list(r) for r in rejected]
-        if got_rejected != check["rejected"]:
-            return desc, f"FAIL rejected subsets {got_rejected}"
-        return desc, "ok"
-    if kind == "triangular_branches":
-        families = triangular_solvent_solve(P)
-        expected = check["expected"]
-        if len(families) != len(expected):
-            return desc, f"FAIL {len(families)} branches, expected {len(expected)}"
-        for fam, exp in zip(families, expected):
-            if fam.kind != exp["kind"]:
-                return desc, f"FAIL branch kind {fam.kind} != {exp['kind']}"
-            if np.abs(np.array(fam.diagonal) - _complex(exp["diagonal"])).max() > atol:
-                return desc, "FAIL branch diagonal"
+        yield desc, "ok" if got_rejected == check["rejected"] else f"FAIL rejected subsets {got_rejected}"
+    elif kind == "triangular_branches":
+        fams, refs = triangular_solvent_solve(P), check["expected"]
+        yield desc, "ok" if len(fams) == len(refs) else f"FAIL {len(fams)} branches, expected {len(refs)}"
+        for fam, exp in zip(fams, refs):
+            yield desc, "ok" if fam.kind == exp["kind"] else f"FAIL branch kind {fam.kind} != {exp['kind']}"
+            diagonal_error = np.abs(np.array(fam.diagonal) - _complex(exp["diagonal"])).max()
+            yield desc, "FAIL branch diagonal" if diagonal_error > atol else "ok"
             if fam.kind != "none":
-                directions = exp.get("directions", [])
-                failed = _first_failure(desc, [
-                    _check_allclose(fam.base, _complex(exp["base"]), atol, desc),
-                    (desc, "ok" if len(fam.directions) == len(directions)
-                     else f"FAIL {len(fam.directions)} directions"),
-                    *(_check_allclose(D, _complex(E), atol, desc) for D, E in zip(fam.directions, directions)),
-                ])
-                if failed[1] != "ok":
-                    return failed
-        return desc, "ok"
-    return desc, f"FAIL unknown check kind {kind!r}"
+                got, want = fam.directions, exp.get("directions", [])
+                yield _check_allclose(fam.base, _complex(exp["base"]), atol, desc)
+                yield desc, "ok" if len(got) == len(want) else f"FAIL {len(got)} directions"
+                for D, E in zip(got, want):
+                    yield _check_allclose(D, _complex(E), atol, desc)
+    else:
+        yield desc, f"FAIL unknown check kind {kind!r}"
 
 
 # ---------------------------------------------------------------------------

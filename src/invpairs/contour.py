@@ -369,7 +369,7 @@ def scalar_moments(P, contour, u=None, v=None, count=8, seed=0):
     deterministic for a fixed N and fixed probes.
     """
     u, v = _scalar_probes(P, u, v, seed)
-    if count < 1:
+    if require_integer(count, "count") < 1:
         raise ValueError("need at least one moment")
     nodes = _solve_at_nodes(P, contour, v[:, None])
     M, S = _moment_blocks(nodes, u[:, None], count)
@@ -393,7 +393,7 @@ def _block_probes(P, U, V):
 def block_moments(P, contour, U=None, V=None, count=8):
     """Block analogue of scalar_moments with n-by-xi probe matrices."""
     U, V = _block_probes(P, U, V)
-    if count < 1:
+    if require_integer(count, "count") < 1:
         raise ValueError("need at least one moment")
     nodes = _solve_at_nodes(P, contour, V)
     M, S = _moment_blocks(nodes, U, count)
@@ -499,7 +499,7 @@ def residue_moment_oracle(spectrum, k):
     and nu_{j,i} = 0 otherwise.  Independent of any quadrature, this serves
     as an oracle for scalar_moments on problems with known pole data.
     """
-    if k < 0:
+    if require_integer(k, "k") < 0:
         raise ValueError("moment order k must be nonnegative")
     total = 0.0 + 0.0j
     for lam, mult, coeffs in spectrum:

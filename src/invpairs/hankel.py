@@ -79,7 +79,7 @@ class HankelPencil:
         object.__setattr__(self, "H1", H1)
         if H0.shape != H1.shape or H0.ndim != 2 or H0.shape[0] != H0.shape[1]:
             raise ValueError("H0 and H1 must be square matrices of equal size")
-        xi = self.block_size
+        xi = require_integer(self.block_size, "block_size")
         if xi < 1 or H0.shape[0] % xi:
             raise ValueError("matrix size must be a multiple of the block size")
         mt = H0.shape[0] // xi
@@ -102,6 +102,7 @@ class HankelPencil:
 
 def build_hankel(moms, m):
     """Assemble the m-by-m pencil from a MomentSequence with >= 2m moments."""
+    m = require_integer(m, "m")
     if len(moms) < 2 * m:
         raise ValueError(f"need at least {2 * m} moments to build an {m}x{m} pencil, have {len(moms)}")
     return HankelPencil(*_pencil(moms.mu[:, None, None], m))
@@ -109,6 +110,7 @@ def build_hankel(moms, m):
 
 def build_block_hankel(bmoms, mt):
     """Assemble the block pencil with mt block rows from a BlockMomentSequence."""
+    mt = require_integer(mt, "mt")
     if len(bmoms) < 2 * mt:
         raise ValueError(f"need at least {2 * mt} block moments, have {len(bmoms)}")
     return HankelPencil(*_pencil(bmoms.moments, mt), bmoms.xi)

@@ -10,7 +10,7 @@ and matrix solvents (k = n, X invertible).
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from ._numeric import numerical_rank, require_finite
+from ._numeric import numerical_rank, require_finite, require_integer
 
 __all__ = [
     "MatrixPolynomial",
@@ -243,6 +243,7 @@ def minimality_index(pair, m_max):
     Returns None when the pair is not minimal up to m_max.  Rank decisions
     use the repo-wide singular value cutoff.
     """
+    m_max = require_integer(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     X, S = _pair_matrices(pair)

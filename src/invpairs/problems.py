@@ -63,9 +63,15 @@ def _parse_matrix(rows, n, where):
 
 
 def _read_json_object(path):
-    """The JSON object in a UTF-8 file; ProblemFormatError for invalid JSON or another top level."""
+    """The JSON object in a UTF-8 file.
+
+    ProblemFormatError naming the file for bytes that are not UTF-8, invalid
+    JSON or a top level that is not an object.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):

@@ -69,7 +69,7 @@ def test_extractors_call_the_module_contour_functions(monkeypatch, multi_3x3, go
     calls.clear()
     hankel.extract_block_invariant_pair(multi_3x3, contour, np.array(probes["U"]), np.array(probes["V"]))
     assert calls == ["_winding_count", "block_moments"]
-    # where the winding gives up, the trace count runs on the same factors
+    # where the winding gives up, the trace count makes a pass of its own
     calls.clear()
     monkeypatch.setattr(hankel, "_winding_count", lambda P, nodes: calls.append("_winding_count"))
     hankel.extract_block_invariant_pair(multi_3x3, contour, np.array(probes["U"]), np.array(probes["V"]))

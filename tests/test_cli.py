@@ -87,6 +87,12 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError, match="line 1"):
             parse_problem(str(path))
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + serialize_problem(problems.ss_2x2()).encode())
+        with pytest.raises(ProblemFormatError, match="latin1.json: not UTF-8 text"):
+            parse_problem(str(path))
+
     def test_truncated_coefficients_rejected(self, tmp_path):
         doc = json.loads(serialize_problem(problems.ss_2x2()))
         doc["coeffs"] = doc["coeffs"][:2]
@@ -283,6 +289,15 @@ class TestCommands:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["count"] == 3
 
+    def test_out_file_in_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        # the error once escaped run_command as a traceback
+        target = tmp_path / "missing" / "x.json"
+        code = run_command(["count", data_file("ss_2x2.json"), "--center", "1", "--radius", "0.5",
+                            "--out", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(target) in err
+
     def test_block_pair_with_seeded_probes(self, capsys):
         # no probe file: seeded random probes still produce a valid pair
         code = run_command([
@@ -439,6 +454,18 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("which", ["problem", "probes"], ids=["problem", "probe-file"])
+    def test_file_that_is_not_utf8_is_usage_error(self, which, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, once reported as a numerical failure (exit 2)
+        files = {"problem": SS_2X2, "probes": probe_file("ss_2x2.json")}
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + Path(files[which]).read_bytes())
+        files[which] = str(path)
+        code = run_command(["pair", files["problem"], "--probe-file", files["probes"],
+                            "--center", "1", "--radius", "0.5", "--m", "3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_command(["count", data_file("ss_2x2.json"), "--bogus"]) == 1
         assert "error" in capsys.readouterr().err
@@ -496,7 +523,12 @@ class TestBench:
     def test_golden_checks_all_pass(self):
         failures, lines = run_golden_checks()
         assert failures == 0
-        assert len(lines) >= 12
+        expected_dir = importlib.resources.files("invpairs") / "data" / "expected"
+        files = sorted(p.name for p in expected_dir.iterdir() if p.name.endswith(".json"))
+        fixtures = [name[:-5] for name in files]
+        names = [f"{f}:{c['name']}" for f in fixtures for c in _expected_doc(f)["checks"]]
+        assert len(names) == 21
+        assert lines == [(name, "ok") for name in names]
 
     def test_bench_verify_exit_zero(self, capsys):
         assert run_command(["bench", "--verify"]) == 0
@@ -535,29 +567,63 @@ def _inc(container, key):
     container[key] += 1
 
 
-# (fixture, check name, perturbation of the expected value): every check kind
-# of data/expected, and an unknown kind
+# case: (fixture, check name, perturbation of the expected value, the start of
+# the failure it must report: the reported name after the fixture's, then the
+# status).  Every check kind of data/expected, each failure branch that an
+# edit of a check document reaches, and an unknown kind.
+_TRI = ("infinite_family_3x3_triangular", "two_branches")
 _PERTURBED = {
-    "moments+1": ("diag_4x4", "golden_moments", lambda c: _inc(c["expected"][0], 0)),
-    "count+1": ("ss_2x2", "count", lambda c: _inc(c, "expected")),
-    "companion_entry+1": ("diag_4x4", "companion", lambda c: _inc(c["expected"][-1], 0)),
-    "cluster_multiplicity+1": ("diag_4x4", "clusters", lambda c: _inc(c["expected"][0], 1)),
-    "pair_X_entry+1": ("ss_2x2", "golden_pair", lambda c: _inc(c["X"][0][0], 0)),
-    "pair_S_entry+1": ("ss_2x2", "golden_pair", lambda c: _inc(c["S"][1][1], 0)),
-    "hankel_rank+1": ("multi_3x3", "H0_5x5_rank_3", lambda c: _inc(c, "expected")),
-    "block_moment_entry+1": ("multi_3x3", "block_moments", lambda c: _inc(c["expected"][1][0][1], 0)),
-    "block_pair_T_entry+1": ("multi_3x3", "block_pair_printed_probes", lambda c: _inc(c["T"][0][0], 0)),
-    "block_pair_Y_entry+1": ("multi_3x3", "block_pair_yhat_probes", lambda c: _inc(c["Y"][2][1], 0)),
+    "moments+1": ("diag_4x4", "golden_moments", lambda c: _inc(c["expected"][0], 0),
+                  "golden_moments FAIL max error"),
+    "count+1": ("ss_2x2", "count", lambda c: _inc(c, "expected"), "count FAIL count 3 quality"),
+    "count_quality_over_atol": ("ss_2x2", "count", lambda c: c.update(atol=-1), "count FAIL count 3 quality"),
+    "companion_entry+1": ("diag_4x4", "companion", lambda c: _inc(c["expected"][-1], 0),
+                          "companion FAIL max error"),
+    "companion_entry_dropped": ("diag_4x4", "companion", lambda c: c["expected"].pop(),
+                                "companion FAIL shape (4,) != (3,)"),
+    "cluster_multiplicity+1": ("diag_4x4", "clusters", lambda c: _inc(c["expected"][0], 1),
+                               "clusters FAIL cluster (0.5"),
+    "cluster_value+1": ("diag_4x4", "clusters", lambda c: _inc(c["expected"][1][0], 0),
+                        "clusters FAIL cluster (1"),
+    "cluster_added": ("diag_4x4", "clusters", lambda c: c["expected"].append([[2.0, 0.0], 1]),
+                      "clusters FAIL 2 clusters, expected 3"),
+    "pair_X_entry+1": ("ss_2x2", "golden_pair", lambda c: _inc(c["X"][0][0], 0),
+                       "golden_pair:X FAIL max error"),
+    "pair_S_entry+1": ("ss_2x2", "golden_pair", lambda c: _inc(c["S"][1][1], 0),
+                       "golden_pair:S FAIL max error"),
+    "hankel_rank+1": ("multi_3x3", "H0_5x5_rank_3", lambda c: _inc(c, "expected"),
+                      "H0_5x5_rank_3 FAIL rank 3"),
+    "block_moment_entry+1": ("multi_3x3", "block_moments", lambda c: _inc(c["expected"][1][0][1], 0),
+                             "block_moments:M1 FAIL max error"),
+    "block_pair_T_entry+1": ("multi_3x3", "block_pair_printed_probes", lambda c: _inc(c["T"][0][0], 0),
+                             "block_pair_printed_probes:T FAIL max error"),
+    "block_pair_Y_entry+1": ("multi_3x3", "block_pair_yhat_probes", lambda c: _inc(c["Y"][2][1], 0),
+                             "block_pair_yhat_probes:Y FAIL max error"),
     "block_pair_multiplicity+1": ("multi_3x3", "block_pair_printed_probes",
-                                  lambda c: _inc(c["eig_clusters"][0], 1)),
-    "solvent_entry+1": ("quad_solvents_2x2", "five_solvents", lambda c: _inc(c["expected"][2][0][0], 0)),
-    "solvent_dropped": ("quad_solvents_2x2", "five_solvents", lambda c: c["expected"].pop()),
-    "rejected_subset_dropped": ("quad_solvents_2x2", "five_solvents", lambda c: c["rejected"].pop()),
-    "branch_kind_renamed": ("infinite_family_3x3_triangular", "two_branches",
-                            lambda c: c["expected"][1].update(kind="unique")),
-    "branch_direction_entry+1": ("infinite_family_3x3_triangular", "two_branches",
-                                 lambda c: _inc(c["expected"][1]["directions"][0][0][1], 0)),
-    "unknown_kind": ("ss_2x2", "count", lambda c: c.update(kind="no_such_kind")),
+                                  lambda c: _inc(c["eig_clusters"][0], 1),
+                                  "block_pair_printed_probes FAIL cluster (1"),
+    "block_pair_cluster_value+1": ("multi_3x3", "block_pair_yhat_probes",
+                                   lambda c: _inc(c["eig_clusters"][0][0], 0),
+                                   "block_pair_yhat_probes FAIL cluster (1"),
+    "solvent_entry+1": ("quad_solvents_2x2", "five_solvents", lambda c: _inc(c["expected"][2][0][0], 0),
+                        "five_solvents FAIL a reference solvent was not produced"),
+    "solvent_dropped": ("quad_solvents_2x2", "five_solvents", lambda c: c["expected"].pop(),
+                        "five_solvents FAIL 5 solvents, expected 4"),
+    "rejected_subset_dropped": ("quad_solvents_2x2", "five_solvents", lambda c: c["rejected"].pop(),
+                                "five_solvents FAIL rejected subsets [[2, 3]]"),
+    "branch_dropped": (*_TRI, lambda c: c["expected"].pop(), "two_branches FAIL 2 branches, expected 1"),
+    "branch_kind_renamed": (*_TRI, lambda c: c["expected"][1].update(kind="unique"),
+                            "two_branches FAIL branch kind affine-family != unique"),
+    "branch_diagonal_entry+1": (*_TRI, lambda c: _inc(c["expected"][0]["diagonal"][2], 0),
+                                "two_branches FAIL branch diagonal"),
+    "branch_base_entry+1": (*_TRI, lambda c: _inc(c["expected"][1]["base"][0][2], 0),
+                            "two_branches FAIL max error"),
+    "branch_direction_dropped": (*_TRI, lambda c: c["expected"][1]["directions"].pop(),
+                                 "two_branches FAIL 1 directions"),
+    "branch_direction_entry+1": (*_TRI, lambda c: _inc(c["expected"][1]["directions"][0][0][1], 0),
+                                 "two_branches FAIL max error"),
+    "unknown_kind": ("ss_2x2", "count", lambda c: c.update(kind="no_such_kind"),
+                     "count FAIL unknown check kind 'no_such_kind'"),
 }
 
 
@@ -566,19 +632,20 @@ class TestGoldenCheckFailures:
 
     @pytest.mark.parametrize("case", sorted(_PERTURBED))
     def test_perturbed_expectation_fails(self, case):
-        fixture, name, perturb = _PERTURBED[case]
+        fixture, name, perturb, failure = _PERTURBED[case]
         check = next(c for c in _expected_doc(fixture)["checks"] if c["name"] == name)
         P = problems.PROBLEMS[fixture]()
-        assert _run_single_check(P, fixture, check)[1] == "ok"
+        assert _run_single_check(P, fixture, check) == (f"{fixture}:{name}", "ok")
         bad = copy.deepcopy(check)
         perturb(bad)
-        assert _run_single_check(P, fixture, bad)[1].startswith("FAIL")
+        desc, status = _run_single_check(P, fixture, bad)
+        assert f"{desc} {status}".startswith(f"{fixture}:{failure}")
 
     def test_every_bundled_kind_is_perturbed(self):
         expected_dir = importlib.resources.files("invpairs") / "data" / "expected"
         fixtures = [p.name[:-5] for p in expected_dir.iterdir() if p.name.endswith(".json")]
         kinds = {c["kind"] for f in fixtures for c in _expected_doc(f)["checks"]}
         assert len(kinds) == 10
-        covered = {c["kind"] for fixture, name, _ in _PERTURBED.values()
+        covered = {c["kind"] for fixture, name, *_ in _PERTURBED.values()
                    for c in _expected_doc(fixture)["checks"] if c["name"] == name}
         assert covered == kinds

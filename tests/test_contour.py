@@ -144,6 +144,13 @@ class TestScalarMoments:
             )
 
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_count_raises(self, ss_2x2, golden_contours, count):
+        # count = True once gave the single moment mu_0
+        with pytest.raises(ValueError, match="count must be an integer"):
+            scalar_moments(ss_2x2, golden_contours["ss_2x2"], [1, -1], [-1, 1], count=count)
+
+
 class TestBlockMoments:
     def test_golden_block_moments(self, multi_3x3, golden_contours):
         bmoms = block_moments(multi_3x3, golden_contours["multi_3x3"], U3, V3, count=6)
@@ -206,6 +213,12 @@ class TestBlockMoments:
                 contour=golden_contours["multi_3x3"],
                 sblocks=(np.zeros((3, 2), dtype=complex),),
             )
+
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_count_raises(self, multi_3x3, golden_contours, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            block_moments(multi_3x3, golden_contours["multi_3x3"], U3, V3, count=count)
 
 
 class TestEigenvalueCount:
@@ -286,3 +299,9 @@ class TestResidueOracle:
             residue_moment_oracle([(1.0, 2, [1.0])], 0)
         with pytest.raises(ValueError, match="nonnegative"):
             residue_moment_oracle([(1.0, 1, [1.0])], -1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_order_raises(self, k):
+        # k = True once returned mu_1
+        with pytest.raises(ValueError, match="k must be an integer"):
+            residue_moment_oracle(RESIDUE_DIAG_SPECTRUM, k)

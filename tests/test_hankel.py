@@ -75,6 +75,19 @@ class TestBuildHankel:
         with pytest.raises(ValueError, match="at least 6 moments"):
             build_hankel(moms, 3)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_m_raises(self, ss_2x2, golden_contours, m):
+        # m = True once built a 1-by-1 pencil
+        moms = _golden_moments(ss_2x2, golden_contours["ss_2x2"], [1, -1], [-1, 1], 6)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build_hankel(moms, m)
+
+    @pytest.mark.parametrize("block_size", [1.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_block_size_raises(self, block_size):
+        # 1.5 was once reported as a matrix size that is not a multiple of it
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            HankelPencil(H0=[[1.0, 2.0], [2.0, 3.0]], H1=[[2.0, 3.0], [3.0, 4.0]], block_size=block_size)
+
     def test_structure_validation(self):
         good = HankelPencil(H0=[[1.0, 2.0], [2.0, 3.0]], H1=[[2.0, 3.0], [3.0, 4.0]])
         assert good.m == 2
@@ -369,6 +382,12 @@ class TestExtractBlockInvariantPair:
         # one moment kernel and one pencil-to-pair routine: the same bits
         assert np.array_equal(scalar.X, block.X)
         assert np.array_equal(scalar.S, block.S)
+
+    @pytest.mark.parametrize("mt", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_block_rows_raise(self, multi_3x3, golden_contours, mt):
+        bmoms = block_moments(multi_3x3, golden_contours["multi_3x3"], U3, V3, count=6)
+        with pytest.raises(ValueError, match="mt must be an integer"):
+            build_block_hankel(bmoms, mt)
 
     def test_block_hankel_builder(self, multi_3x3, golden_contours):
         bmoms = block_moments(multi_3x3, golden_contours["multi_3x3"], U3, V3, count=6)

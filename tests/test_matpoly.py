@@ -265,3 +265,9 @@ class TestMinimalityIndex:
     def test_m_max_validation(self):
         with pytest.raises(ValueError):
             minimality_index((np.eye(2), np.eye(2)), 0)
+
+    @pytest.mark.parametrize("m_max", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_m_max_raises(self, m_max):
+        # m_max = True once ran as m_max = 1
+        with pytest.raises(ValueError, match="m_max must be an integer"):
+            minimality_index((GOLDEN_X_SS, GOLDEN_S_SS), m_max)
