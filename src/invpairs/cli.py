@@ -93,10 +93,7 @@ def _matrix_rows(lead, M):
 
 
 def _emit(data, csv_rows, fmt, out):
-    """Write either the JSON document or the CSV rows (header first), to `out` or to stdout.
-
-    click.FileError (a usage error) when `out` cannot be written.
-    """
+    """Write either the JSON document or the CSV rows (header first); click.FileError if `out` fails."""
     if fmt == "json":
         text = json.dumps(data, indent=2, default=_json_default) + "\n"
     else:

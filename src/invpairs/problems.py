@@ -63,11 +63,7 @@ def _parse_matrix(rows, n, where):
 
 
 def _read_json_object(path):
-    """The JSON object in a UTF-8 file.
-
-    ProblemFormatError naming the file for bytes that are not UTF-8, invalid
-    JSON or a top level that is not an object.
-    """
+    """The JSON object in a UTF-8 file; ProblemFormatError for other bytes, bad JSON or another top level."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
