@@ -523,10 +523,7 @@ class TestBench:
     def test_golden_checks_all_pass(self):
         failures, lines = run_golden_checks()
         assert failures == 0
-        expected_dir = importlib.resources.files("invpairs") / "data" / "expected"
-        files = sorted(p.name for p in expected_dir.iterdir() if p.name.endswith(".json"))
-        fixtures = [name[:-5] for name in files]
-        names = [f"{f}:{c['name']}" for f in fixtures for c in _expected_doc(f)["checks"]]
+        names = [f"{f}:{c['name']}" for f in _expected_fixtures() for c in _expected_doc(f)["checks"]]
         assert len(names) == 21
         assert lines == [(name, "ok") for name in names]
 
@@ -555,6 +552,12 @@ class TestBench:
         assert "newton_time" in lines[0]
         assert len(lines) >= 6
 
+
+
+def _expected_fixtures():
+    """The fixtures of data/expected, in file-name order."""
+    expected_dir = importlib.resources.files("invpairs") / "data" / "expected"
+    return [name[:-5] for name in sorted(p.name for p in expected_dir.iterdir()) if name.endswith(".json")]
 
 
 def _expected_doc(fixture):
@@ -642,9 +645,7 @@ class TestGoldenCheckFailures:
         assert f"{desc} {status}".startswith(f"{fixture}:{failure}")
 
     def test_every_bundled_kind_is_perturbed(self):
-        expected_dir = importlib.resources.files("invpairs") / "data" / "expected"
-        fixtures = [p.name[:-5] for p in expected_dir.iterdir() if p.name.endswith(".json")]
-        kinds = {c["kind"] for f in fixtures for c in _expected_doc(f)["checks"]}
+        kinds = {c["kind"] for f in _expected_fixtures() for c in _expected_doc(f)["checks"]}
         assert len(kinds) == 10
         covered = {c["kind"] for fixture, name, *_ in _PERTURBED.values()
                    for c in _expected_doc(fixture)["checks"] if c["name"] == name}
